@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.flow import FlowNetwork, min_cut_value
+from repro.flow import FlowGraphBuilder, min_cut_compiled
 from repro.graphdb import generators
 from repro.languages import Language
 from repro.resilience import resilience_local
@@ -12,10 +12,15 @@ from repro.resilience import resilience_local
 def test_resilience_equals_mincut(seed):
     bag = generators.layered_flow_database(4, 3, seed=seed)
     resilience_value = resilience_local(Language.from_regex("ax*b"), bag).value
-    network = FlowNetwork(source="SRC", target="SNK")
-    for fact, multiplicity in bag.multiplicities().items():
-        network.add_edge(fact.source, fact.target, multiplicity)
-    assert resilience_value == min_cut_value(network)
+    multiplicities = bag.multiplicities()
+    node_ids = {"SRC": 0, "SNK": 1}
+    for fact in multiplicities:
+        node_ids.setdefault(fact.source, len(node_ids))
+        node_ids.setdefault(fact.target, len(node_ids))
+    network = FlowGraphBuilder(len(node_ids))
+    for fact, multiplicity in multiplicities.items():
+        network.add(node_ids[fact.source], node_ids[fact.target], multiplicity)
+    assert resilience_value == min_cut_compiled(network.build(0, 1)).value
 
 
 def test_resilience_vs_direct_mincut_timing(benchmark):

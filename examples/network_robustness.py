@@ -12,7 +12,7 @@ Run with::
 """
 
 from repro import Language, resilience
-from repro.flow import FlowNetwork, min_cut
+from repro.flow import FlowGraphBuilder, min_cut_compiled
 from repro.graphdb import generators
 from repro.resilience import verify_contingency_set
 
@@ -31,11 +31,17 @@ def main() -> None:
     print(f"algorithm: {result.method}; facts cut: {len(result.contingency_set)}")
     assert verify_contingency_set(query, network_db, result)
 
-    # Direct MinCut on the same network, for comparison.
-    flow = FlowNetwork(source="SRC", target="SNK")
-    for fact, multiplicity in network_db.multiplicities().items():
-        flow.add_edge(fact.source, fact.target, multiplicity, key=fact)
-    cut = min_cut(flow)
+    # Direct MinCut on the same network, for comparison: dense node ids with
+    # the source at 0 and the sink at 1, one edge per fact.
+    multiplicities = network_db.multiplicities()
+    node_ids = {"SRC": 0, "SNK": 1}
+    for fact in multiplicities:
+        node_ids.setdefault(fact.source, len(node_ids))
+        node_ids.setdefault(fact.target, len(node_ids))
+    flow = FlowGraphBuilder(len(node_ids))
+    for fact, multiplicity in multiplicities.items():
+        flow.add(node_ids[fact.source], node_ids[fact.target], multiplicity, key=fact)
+    cut = min_cut_compiled(flow.build(node_ids["SRC"], node_ids["SNK"]))
     print(f"direct MinCut value: {cut.value} (must match the resilience)")
     assert cut.value == result.value
 

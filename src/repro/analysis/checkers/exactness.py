@@ -1,8 +1,8 @@
 """Exactness rules: the flow core computes in exact integer arithmetic.
 
 Capacities are Python ints (or the ``math.inf`` sentinel, which compares
-exactly); the only sanctioned float is the final result snap that
-mirrors the reference solver's output format.  Any float literal, true
+exactly); the only sanctioned float is the final result snap that reports
+the exact total in the resilience value format.  Any float literal, true
 division, tolerance comparison, or ``float()`` coercion inside
 ``repro/flow/`` is therefore either a bug or one of the handful of
 documented formatting sites — which carry pragmas spelling out why they

@@ -1,5 +1,6 @@
-"""Network-flow substrate: object-layer flow networks (the differential
-reference) and the array-native compiled core the reductions run on.
+"""Network-flow core: one compiled CSR graph representation, the per-database
+substrates the reductions compile it from, and two min-cut solvers on it (the
+fast blocking-flow Dinic and the textbook reference).
 
 See ``src/repro/flow/README.md`` for the compiled-graph layout, the exactness
 invariants and the substrate lifecycle.
@@ -7,17 +8,15 @@ invariants and the substrate lifecycle.
 
 from .compiled import (
     FLOW_SOLVER_ENV,
+    INFINITY,
     CompiledCut,
     CompiledFlowGraph,
     FlowGraphBuilder,
-    compile_network,
     default_flow_solver,
-    fast_min_cut,
     min_cut_compiled,
+    min_cut_reference,
     solve_min_cut,
 )
-from .mincut import INFINITY, MinCutResult, min_cut, min_cut_value
-from .network import FlowEdge, FlowNetwork
 from .substrate import (
     BclSubstrate,
     ProductSubstrate,
@@ -33,20 +32,14 @@ __all__ = [
     "BclSubstrate",
     "CompiledCut",
     "CompiledFlowGraph",
-    "FlowEdge",
     "FlowGraphBuilder",
-    "FlowNetwork",
-    "MinCutResult",
     "ProductSubstrate",
     "bcl_substrate",
     "compile_bcl_graph",
-    "compile_network",
     "compile_product_graph",
     "default_flow_solver",
-    "fast_min_cut",
-    "min_cut",
     "min_cut_compiled",
-    "min_cut_value",
+    "min_cut_reference",
     "product_substrate",
     "solve_min_cut",
 ]

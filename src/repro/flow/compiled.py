@@ -1,13 +1,12 @@
-"""Array-native flow core: compiled residual graphs and a fast Dinic solver.
+"""Array-native flow core: compiled residual graphs and two Dinic solvers.
 
-The object layer (:class:`~repro.flow.network.FlowNetwork` of tuple-keyed nodes
-and frozen :class:`~repro.flow.network.FlowEdge` dataclasses, solved by the
-pure-Python :func:`~repro.flow.mincut.min_cut`) is the semantics of this
-package; it is kept as the differential reference.  This module is the hot
-path: a :class:`CompiledFlowGraph` stores the residual graph as flat ``int``
-arrays in CSR form — dense node ids, per-node contiguous arc ranges, explicit
-reverse-arc indices — and :func:`min_cut_compiled` runs Dinic with a true
-blocking-flow DFS directly over those arrays.
+All three tractable resilience algorithms of the paper reduce to MinCut, and
+they all solve it on one representation: a :class:`CompiledFlowGraph` stores
+the residual graph as flat ``int`` arrays in CSR form — dense node ids,
+per-node contiguous arc ranges, explicit reverse-arc indices.  Two solvers
+run on those arrays: :func:`min_cut_compiled` (the fast path, a true
+blocking-flow DFS) and :func:`min_cut_reference` (textbook Dinic, the
+differential reference).
 
 Representation invariants:
 
@@ -20,11 +19,10 @@ Representation invariants:
   array indices and an arc id needs no indirection to find its capacity.
   ``arc_rev[p]`` is the position of arc ``p``'s reverse arc; edge ``e``'s
   forward arc sits at ``forward_pos[e]``.
-* **Exact arithmetic.**  When every positive finite capacity is integral (the
-  resilience reductions only produce integer multiplicities), capacities are
-  stored as Python ints and the whole computation is exact; the final value is
-  snapped to ``float`` exactly as the reference solver does.  Fractional
-  capacities are kept as given — no rounding is ever applied.
+* **Exact arithmetic.**  Capacities are database multiplicities, which are
+  Python ints (:class:`~repro.graphdb.database.BagGraphDatabase` rejects
+  anything else), so the whole computation is exact; the final value is
+  snapped to ``float``.
 * **∞ sentinel.**  Infinite capacities are stored as the explicit sentinel
   ``math.inf``; an augmenting path whose bottleneck is the sentinel proves no
   finite cut exists, and the solver returns infinity without ever doing
@@ -33,14 +31,12 @@ Representation invariants:
   reachable from the source in the residual graph is the unique
   inclusion-minimal min-cut source side — it does not depend on augmentation
   order.  Both solvers therefore return the *same* cut edges on the same
-  network, which is what lets the serving layer force either solver and get
+  graph, which is what lets the serving layer force either solver and get
   byte-identical outcomes (pinned by the conformance suite and ``tools/ci.sh``).
 
-:func:`fast_min_cut` is a drop-in replacement for
-:func:`~repro.flow.mincut.min_cut` on a :class:`FlowNetwork`;
-:func:`solve_min_cut` is the reductions' entry point on an already-compiled
-graph, honouring the ``REPRO_FLOW_SOLVER`` environment variable
-(``"fast"`` — the default — or ``"reference"``).
+:func:`solve_min_cut` is the reductions' entry point, honouring the
+``REPRO_FLOW_SOLVER`` environment variable (``"fast"`` — the default — or
+``"reference"``).
 """
 
 from __future__ import annotations
@@ -51,14 +47,12 @@ from collections import deque
 from dataclasses import dataclass
 
 from ..exceptions import ReproError
-from .mincut import MinCutResult, min_cut
-from .network import FlowNetwork, Node
 
 INFINITY = math.inf
 
 #: Environment variable selecting the min-cut solver used by the resilience
-#: reductions: ``"fast"`` (array Dinic, default) or ``"reference"`` (the
-#: retained object-layer :func:`~repro.flow.mincut.min_cut`).
+#: reductions: ``"fast"`` (:func:`min_cut_compiled`, default) or
+#: ``"reference"`` (:func:`min_cut_reference`).
 FLOW_SOLVER_ENV = "REPRO_FLOW_SOLVER"
 
 _SOLVERS = ("fast", "reference")
@@ -85,16 +79,14 @@ class CompiledFlowGraph:
         adj_start: CSR offsets (length ``num_nodes + 1``): node ``v``'s arcs
             are positions ``adj_start[v] .. adj_start[v+1] - 1``.
         arc_head: head node of the arc at each position (length ``2 * num_edges``).
-        arc_capacity: capacity at each position — exact ints (or raw floats
-            for fractional networks) for finite forward arcs, the ``math.inf``
-            sentinel for infinite ones, ``0`` for backward arcs.
+        arc_capacity: capacity at each position — exact ints for finite
+            forward arcs, the ``math.inf`` sentinel for infinite ones, ``0``
+            for backward arcs.
         arc_rev: position of each arc's reverse arc.
         forward_pos: position of each edge's forward arc (length ``num_edges``).
         arc_key: per-edge key (length ``num_edges``): the
             :class:`~repro.graphdb.database.Fact` a finite product arc encodes,
             ``None`` for structural (infinite) arcs.
-        integral: whether every positive finite capacity is integral (the
-            solver then runs in exact integer arithmetic).
     """
 
     __slots__ = (
@@ -108,7 +100,6 @@ class CompiledFlowGraph:
         "arc_rev",
         "forward_pos",
         "arc_key",
-        "integral",
     )
 
     def __init__(
@@ -122,7 +113,6 @@ class CompiledFlowGraph:
         arc_rev: list[int],
         forward_pos: list[int],
         arc_key: list,
-        integral: bool,
     ) -> None:
         self.num_nodes = num_nodes
         self.source = source
@@ -134,43 +124,9 @@ class CompiledFlowGraph:
         self.arc_rev = arc_rev
         self.forward_pos = forward_pos
         self.arc_key = arc_key
-        self.integral = integral
-
-    def edge_endpoints(self, edge: int) -> tuple[int, int]:
-        """Return ``(tail, head)`` node ids of edge ``edge``."""
-        position = self.forward_pos[edge]
-        return self.arc_head[self.arc_rev[position]], self.arc_head[position]
-
-    def edge_capacity(self, edge: int):
-        """Return the (original) capacity of edge ``edge``."""
-        return self.arc_capacity[self.forward_pos[edge]]
-
-    def to_network(self) -> FlowNetwork:
-        """Materialize the object-layer :class:`FlowNetwork` of this graph.
-
-        Used by the ``"reference"`` solver mode: the retained
-        :func:`~repro.flow.mincut.min_cut` then runs on exactly the network
-        this graph encodes, so the two solvers are differential twins.
-        """
-        network = FlowNetwork(source=self.source, target=self.target)
-        arc_head = self.arc_head
-        arc_rev = self.arc_rev
-        capacities = self.arc_capacity
-        for edge, position in enumerate(self.forward_pos):
-            network.add_edge(
-                arc_head[arc_rev[position]],
-                arc_head[position],
-                capacities[position],
-                key=self.arc_key[edge],
-            )
-        return network
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "int" if self.integral else "float"
-        return (
-            f"CompiledFlowGraph({self.num_nodes} nodes, {self.num_edges} edges, "
-            f"{kind} capacities)"
-        )
+        return f"CompiledFlowGraph({self.num_nodes} nodes, {self.num_edges} edges)"
 
 
 class FlowGraphBuilder:
@@ -179,8 +135,7 @@ class FlowGraphBuilder:
     Callers address nodes by dense int ids (``0 .. num_nodes-1``).  Zero (and
     negative) capacity edges are dropped on the spot: they can never carry
     flow nor appear in a cut, and skipping them keeps the solver's arrays free
-    of dead weight — mirroring the reference solver, which never hands them to
-    Dinic either.
+    of dead weight.
 
     During accumulation the edge at index ``e`` is stored interleaved:
     ``_raw_target[2e]`` is its head, ``_raw_target[2e + 1]`` its tail, and
@@ -188,14 +143,10 @@ class FlowGraphBuilder:
     (always 0) capacity; :meth:`build` rearranges the arcs into CSR order.
     """
 
-    __slots__ = ("num_nodes", "integral_hint", "_raw_target", "_raw_capacity", "_raw_key")
+    __slots__ = ("num_nodes", "_raw_target", "_raw_capacity", "_raw_key")
 
-    def __init__(self, num_nodes: int, *, integral_hint: bool = False) -> None:
+    def __init__(self, num_nodes: int) -> None:
         self.num_nodes = num_nodes
-        # Compilers whose capacities are integer multiplicities by construction
-        # (the resilience reductions) set the hint so build() skips the per-arc
-        # integrality scan and conversion.
-        self.integral_hint = integral_hint
         self._raw_target: list[int] = []
         self._raw_capacity: list = []
         self._raw_key: list = []
@@ -243,42 +194,22 @@ class FlowGraphBuilder:
         self._raw_capacity.extend(capacities_interleaved)
         self._raw_key.extend(keys)
 
-    def build(self, source: int, target: int, *, trim: bool = False) -> CompiledFlowGraph:
+    def build(self, source: int, target: int) -> CompiledFlowGraph:
         """Freeze the accumulated edges into a CSR :class:`CompiledFlowGraph`.
 
-        With ``trim=True`` the graph is restricted to its *useful* core first:
-        nodes reachable from the source and co-reachable to the target along
-        forward edges (the flow-network analogue of automaton trimming,
-        Definition C.3).  Trimming never changes the max-flow value nor the
-        canonical cut edges — flow decomposes into source→target paths, which
-        live entirely inside the useful core, and a dropped edge is never
-        saturated, hence never crosses the residual-reachability cut — it only
-        shrinks the arrays the solver sweeps each phase.  The reduction
-        compilers trim; :func:`compile_network` does not (its drop-in contract
-        includes the reference's full ``source_side``).
+        The graph is restricted to its *useful* core first: nodes reachable
+        from the source and co-reachable to the target along forward edges
+        (the flow-network analogue of automaton trimming, Definition C.3).
+        Trimming never changes the max-flow value nor the canonical cut edges
+        — flow decomposes into source→target paths, which live entirely inside
+        the useful core, and a dropped edge is never saturated, hence never
+        crosses the residual-reachability cut — it only shrinks the arrays the
+        solver sweeps each phase.
         """
-        raw_target = self._raw_target
-        raw_capacity = self._raw_capacity
-        raw_key = self._raw_key
+        raw_target, raw_capacity, raw_key = self._trim(
+            source, target, self._raw_target, self._raw_capacity, self._raw_key
+        )
         num_nodes = self.num_nodes
-        if self.integral_hint:
-            integral = True
-        else:
-            integral = all(
-                # repro: allow[exact-float-cast] -- integrality scan only: it
-                # classifies capacities; no result value flows from this float
-                capacity == INFINITY or float(capacity).is_integer()
-                for capacity in raw_capacity[::2]
-            )
-            if integral:
-                raw_capacity = [
-                    INFINITY if capacity == INFINITY else int(capacity)
-                    for capacity in raw_capacity
-                ]
-        if trim:
-            raw_target, raw_capacity, raw_key = self._trim(
-                source, target, raw_target, raw_capacity, raw_key
-            )
         num_arcs = len(raw_target)
         # Tail of arc ``a`` is the head of its pair partner: swap the
         # interleaved halves with C-level slice assignments.
@@ -322,7 +253,6 @@ class FlowGraphBuilder:
             arc_rev,
             forward_pos,
             raw_key,
-            integral,
         )
 
     @staticmethod
@@ -373,39 +303,31 @@ class CompiledCut:
     """A min-cut of a :class:`CompiledFlowGraph`.
 
     Attributes:
-        value: minimum cut cost (``math.inf`` when no finite cut exists;
-            a float of an exact int for integral graphs).
+        value: minimum cut cost (``math.inf`` when no finite cut exists, a
+            float of the exact int total otherwise).
         cut_edges: edge ids of one minimum cut, ascending (empty when the
             value is 0 or infinite).
         cut_keys: the keys of those edges, aligned with ``cut_edges``.
-        source_side: dense ids of the nodes reachable from the source in the
-            final residual graph (empty for infinite cuts).
     """
 
     value: float
     cut_edges: tuple[int, ...]
     cut_keys: tuple
-    source_side: frozenset[int]
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value == INFINITY
 
 
-_INFINITE_CUT = CompiledCut(INFINITY, (), (), frozenset())
+_INFINITE_CUT = CompiledCut(INFINITY, (), ())
 
 
 def min_cut_compiled(graph: CompiledFlowGraph) -> CompiledCut:
-    """Solve MinCut on a compiled graph with an array-native Dinic.
+    """Solve MinCut on a compiled graph with an array-native blocking-flow Dinic.
 
-    Value-identical to running the reference :func:`~repro.flow.mincut.min_cut`
-    on :meth:`CompiledFlowGraph.to_network`, and cut-identical too whenever the
-    arithmetic is exact (integral capacities, or floats without rounding): the
-    residual-reachable source side of an exact max flow is canonical.
+    The fast path.  Returns the same :class:`CompiledCut` as
+    :func:`min_cut_reference` on every graph: the residual-reachable source
+    side of an exact max flow is canonical.
     """
     source, target = graph.source, graph.target
     if source == target:
-        return CompiledCut(INFINITY, (), (), frozenset({source}))
+        return _INFINITE_CUT
     num_nodes = graph.num_nodes
     adj_start = graph.adj_start
     arc_head = graph.arc_head
@@ -491,10 +413,101 @@ def min_cut_compiled(graph: CompiledFlowGraph) -> CompiledCut:
             node = arc_head[arc_rev[position]]
             cursor[node] += 1
 
-    # Cut recovery: residual reachability from the source (canonical).
-    seen = bytearray(num_nodes)
-    seen[source] = 1
-    stack = [source]
+    return _residual_cut(graph, caps, total)
+
+
+def min_cut_reference(graph: CompiledFlowGraph) -> CompiledCut:
+    """Solve MinCut on a compiled graph with textbook Dinic: the reference.
+
+    Each phase computes full BFS levels, then finds one augmenting path per
+    DFS — restarted from the source after every push — retreating one step at
+    a dead end.  Slower than :func:`min_cut_compiled` but simple enough to
+    check by eye; the two solvers are differential twins on the same arrays.
+    """
+    source, target = graph.source, graph.target
+    if source == target:
+        return _INFINITE_CUT
+    num_nodes = graph.num_nodes
+    adj_start = graph.adj_start
+    arc_head = graph.arc_head
+    caps = list(graph.arc_capacity)
+    total = 0
+    while True:
+        level = [-1] * num_nodes
+        level[source] = 0
+        queue = deque((source,))
+        while queue:
+            node = queue.popleft()
+            for position in range(adj_start[node], adj_start[node + 1]):
+                head = arc_head[position]
+                if caps[position] > 0 and level[head] < 0:
+                    level[head] = level[node] + 1
+                    queue.append(head)
+        if level[target] < 0:
+            break
+        cursor = adj_start[:-1]
+        while True:
+            pushed = _augment_once(graph, caps, level, cursor)
+            if pushed == INFINITY:
+                return _INFINITE_CUT
+            if pushed == 0:
+                break
+            total += pushed
+    return _residual_cut(graph, caps, total)
+
+
+def _augment_once(graph: CompiledFlowGraph, caps: list, level: list[int], cursor: list[int]):
+    """Find one augmenting path in the level graph and push flow along it.
+
+    Returns the amount pushed (0 when no augmenting path remains,
+    ``INFINITY`` — without touching ``caps`` — when an all-∞ path is found).
+    """
+    adj_start = graph.adj_start
+    arc_head = graph.arc_head
+    arc_rev = graph.arc_rev
+    target = graph.target
+    path: list[int] = []
+    node = graph.source
+    while True:
+        if node == target:
+            bottleneck = min(caps[position] for position in path)
+            if bottleneck == INFINITY:
+                return INFINITY
+            for position in path:
+                caps[position] -= bottleneck
+                caps[arc_rev[position]] += bottleneck
+            return bottleneck
+        advanced = False
+        while cursor[node] < adj_start[node + 1]:
+            position = cursor[node]
+            if caps[position] > 0 and level[node] < level[arc_head[position]]:
+                path.append(position)
+                node = arc_head[position]
+                advanced = True
+                break
+            cursor[node] += 1
+        if advanced:
+            continue
+        # Dead end: retreat one step (and make sure we do not retry this arc).
+        if not path:
+            return 0
+        level[node] = -1
+        node = arc_head[arc_rev[path.pop()]]
+        cursor[node] += 1
+
+
+def _residual_cut(graph: CompiledFlowGraph, caps: list, total) -> CompiledCut:
+    """Recover the canonical min cut from a maximum flow's residual capacities.
+
+    The cut is the set of edges leaving the nodes still reachable from the
+    source; it does not depend on which maximum flow ``caps`` encodes.
+    """
+    adj_start = graph.adj_start
+    arc_head = graph.arc_head
+    arc_rev = graph.arc_rev
+    seen = bytearray(graph.num_nodes)
+    seen[graph.source] = 1
+    stack = [graph.source]
     while stack:
         node = stack.pop()
         for position in range(adj_start[node], adj_start[node + 1]):
@@ -504,105 +517,29 @@ def min_cut_compiled(graph: CompiledFlowGraph) -> CompiledCut:
                     seen[head] = 1
                     stack.append(head)
     original = graph.arc_capacity
-    cut_edges = []
-    for edge, position in enumerate(graph.forward_pos):
-        if seen[arc_head[arc_rev[position]]] and not seen[arc_head[position]]:
-            if original[position] > 0:
-                cut_edges.append(edge)
-    # repro: allow[exact-float-cast] -- sanctioned result snap: integral optima
-    # are reported as floats exactly as the reference solver formats them
-    value = float(total) if graph.integral else total
-    return CompiledCut(
-        value,
-        tuple(cut_edges),
-        tuple(graph.arc_key[edge] for edge in cut_edges),
-        frozenset(node for node in range(num_nodes) if seen[node]),
+    cut_edges = tuple(
+        edge
+        for edge, position in enumerate(graph.forward_pos)
+        if seen[arc_head[arc_rev[position]]]
+        and not seen[arc_head[position]]
+        and original[position] > 0
     )
-
-
-def solve_min_cut(graph: CompiledFlowGraph, solver: str | None = None) -> CompiledCut:
-    """Solve a compiled graph with the selected solver.
-
-    ``solver`` overrides the ``REPRO_FLOW_SOLVER`` environment default.  The
-    ``"reference"`` mode materializes the graph back into a
-    :class:`FlowNetwork` and runs the retained object-layer
-    :func:`~repro.flow.mincut.min_cut` — on exact-arithmetic graphs both modes
-    return identical values *and* identical cut edges (canonical cuts), which
-    the conformance CI asserts byte-for-byte.
-    """
-    mode = solver if solver is not None else default_flow_solver()
-    if mode == "fast":
-        return min_cut_compiled(graph)
-    if mode != "reference":
-        raise ReproError(f"unknown flow solver {mode!r} (expected one of {_SOLVERS})")
-    # Map the cut back by edge identity: FlowEdge equality is by value, and
-    # parallel edges of a product network can be value-equal.
-    network = graph.to_network()
-    result = min_cut(network)
-    if result.value == INFINITY:
-        return _INFINITE_CUT
-    edge_ids = {id(edge): index for index, edge in enumerate(network.edges)}  # repro: allow[det-id] -- identity map from edge objects to their positions; ids are keys, never ordered or emitted
-    cut_edges = tuple(edge_ids[id(edge)] for edge in result.cut_edges)
     return CompiledCut(
-        result.value,
+        # repro: allow[exact-float-cast] -- sanctioned result snap: the exact
+        # int total is reported as a float, the resilience value format
+        float(total),
         cut_edges,
-        tuple(edge.key for edge in result.cut_edges),
-        frozenset(result.source_side),
+        tuple(graph.arc_key[edge] for edge in cut_edges),
     )
 
 
-def compile_network(network: FlowNetwork) -> tuple[CompiledFlowGraph, list[Node]]:
-    """Compile an object-layer :class:`FlowNetwork` into a flat graph.
+def solve_min_cut(graph: CompiledFlowGraph) -> CompiledCut:
+    """Solve a compiled graph with the solver ``REPRO_FLOW_SOLVER`` selects.
 
-    Nodes get dense ids by first appearance (source, target, then edge
-    endpoints in edge order) — never by sorting reprs.  Edge keys are the
-    original :class:`~repro.flow.network.FlowEdge` objects so results can be
-    mapped back losslessly.  Returns the graph and the id → node table.
+    ``"fast"`` (the default) runs :func:`min_cut_compiled`, ``"reference"``
+    runs :func:`min_cut_reference`; both return identical cuts, which the
+    conformance CI asserts byte for byte.
     """
-    index_of: dict[Node, int] = {}
-    order: list[Node] = []
-
-    def node_id(node: Node) -> int:
-        identifier = index_of.get(node)
-        if identifier is None:
-            identifier = len(order)
-            index_of[node] = identifier
-            order.append(node)
-        return identifier
-
-    node_id(network.source)
-    node_id(network.target)
-    edges = network.edges
-    endpoints = [(node_id(edge.source), node_id(edge.target)) for edge in edges]
-    builder = FlowGraphBuilder(len(order))
-    for (source, target), edge in zip(endpoints, edges):
-        if edge.capacity == INFINITY:
-            builder.add_infinite(source, target, key=edge)
-        else:
-            builder.add(source, target, edge.capacity, key=edge)
-    graph = builder.build(index_of[network.source], index_of[network.target])
-    return graph, order
-
-
-def fast_min_cut(network: FlowNetwork) -> MinCutResult:
-    """Array-native drop-in replacement for :func:`~repro.flow.mincut.min_cut`.
-
-    Compiles the network once and solves it with :func:`min_cut_compiled`.
-    On exact-arithmetic networks (integral capacities, or floats that add and
-    subtract without rounding) the returned :class:`MinCutResult` is equal to
-    the reference solver's field for field — same value, same cut edges in
-    the same order, same source side — because the residual-reachable min cut
-    is canonical.  Pinned by the hypothesis differential suite.
-    """
-    if network.source == network.target:
-        return MinCutResult(INFINITY, (), frozenset({network.source}), INFINITY)
-    graph, nodes = compile_network(network)
-    cut = min_cut_compiled(graph)
-    if cut.value == INFINITY:
-        return MinCutResult(INFINITY, (), frozenset(), INFINITY)
-    return MinCutResult(
-        cut.value,
-        cut.cut_keys,  # keys are the FlowEdge objects themselves
-        frozenset(nodes[identifier] for identifier in cut.source_side),
-        cut.value,
-    )
+    if default_flow_solver() == "reference":
+        return min_cut_reference(graph)
+    return min_cut_compiled(graph)

@@ -10,9 +10,8 @@ database** and cached on the :class:`~repro.graphdb.index.DatabaseIndex`
 :class:`~repro.service.server.ResilienceServer` workers and the benchmark
 drivers all share it.  Per-query compilation then only wires automaton states
 (or word positions) on top of the substrate's int arrays and emits a
-:class:`~repro.flow.compiled.CompiledFlowGraph` directly — no
-:class:`~repro.flow.network.FlowNetwork`, no tuple nodes, no ``repr``
-sorting.
+:class:`~repro.flow.compiled.CompiledFlowGraph` directly — no tuple nodes,
+no ``repr`` sorting while solving.
 
 Node-id layout of the compiled product graphs (both shapes):
 
@@ -24,10 +23,9 @@ Node-id layout of the compiled product graphs (both shapes):
 * Proposition 7.6 product: fact ``f``'s start vertex is ``2 + 2f`` and its
   end vertex ``2 + 2f + 1``.
 
-The compiled graphs are value- and cut-identical to the object networks the
-retained builders (:func:`~repro.resilience.local_flow.build_product_network`,
-:func:`~repro.resilience.bcl_flow.build_bcl_network`) produce — pinned by the
-differential tests and the conformance CI.
+The compiled graphs are checked against independent oracles — exact search
+(:func:`~repro.resilience.exact.resilience_exact`) and contingency-set
+verification — by the differential tests.
 """
 
 from __future__ import annotations
@@ -162,12 +160,11 @@ def bcl_substrate(index: DatabaseIndex) -> BclSubstrate:
 def compile_product_graph(read_once_automaton, index: DatabaseIndex) -> CompiledFlowGraph:
     """Compile the Theorem 3.13 product network ``N_{D,A}`` straight to arrays.
 
-    Mirrors :func:`~repro.resilience.local_flow.build_product_network` exactly
-    — same finite arcs (one per fact whose label the automaton reads, keyed by
-    the fact), same ∞ wiring (epsilon transitions per database node, source
-    to every initial pair, every final pair to target) — but emits a
-    :class:`CompiledFlowGraph` over the cached substrate instead of an object
-    network.
+    One finite arc per fact whose label the automaton reads (keyed by the
+    fact; the automaton must be read-once), and ∞ wiring for the epsilon
+    transitions per database node, from the source to every initial pair and
+    from every final pair to the target — emitted as a
+    :class:`CompiledFlowGraph` over the cached substrate.
     """
     if not read_once_automaton.is_read_once():
         raise NotLocalError("the automaton passed to the Theorem 3.13 reduction must be read-once")
@@ -192,7 +189,7 @@ def compile_product_graph(read_once_automaton, index: DatabaseIndex) -> Compiled
     state_offset = {
         state: 2 + position * num_db_nodes for position, state in enumerate(states)
     }
-    builder = FlowGraphBuilder(2 + num_db_nodes * len(states), integral_hint=True)
+    builder = FlowGraphBuilder(2 + num_db_nodes * len(states))
 
     extend_raw = builder.extend_raw
     for label, pairs in plan.transitions_by_label.items():
@@ -228,7 +225,7 @@ def compile_product_graph(read_once_automaton, index: DatabaseIndex) -> Compiled
     for state in sorted(read_once_automaton.final, key=repr):
         offset = state_offset[state]
         extend_infinite((offset + node, _TARGET_ID) for node in range(num_db_nodes))
-    graph = builder.build(_SOURCE_ID, _TARGET_ID, trim=True)
+    graph = builder.build(_SOURCE_ID, _TARGET_ID)
     substrate._graphs[read_once_automaton] = graph
     return graph
 
@@ -256,7 +253,7 @@ def compile_bcl_graph(
     multiplicities = index.multiplicities
     facts = index.facts
     num_facts = len(facts)
-    builder = FlowGraphBuilder(2 + 2 * num_facts, integral_hint=True)
+    builder = FlowGraphBuilder(2 + 2 * num_facts)
     removed = removed_fact_ids
 
     add = builder.add
@@ -289,6 +286,6 @@ def compile_bcl_graph(
         for fact_id in index.facts_by_label.get(letter, ()):
             if fact_id not in removed:
                 add_infinite(2 + 2 * fact_id + 1, _TARGET_ID)
-    graph = builder.build(_SOURCE_ID, _TARGET_ID, trim=True)
+    graph = builder.build(_SOURCE_ID, _TARGET_ID)
     substrate._graphs[cache_key] = graph
     return graph

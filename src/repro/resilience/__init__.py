@@ -11,7 +11,7 @@ from .engine import (
     verify_contingency_set,
 )
 from .exact import resilience_brute_force, resilience_exact, resilience_exact_reference
-from .local_flow import build_product_network, resilience_local
+from .local_flow import resilience_local
 from .one_dangling import resilience_one_dangling
 from .result import INFINITE, ResilienceResult
 from .store import (
@@ -34,7 +34,6 @@ __all__ = [
     "StoreBackend",
     "StoreStats",
     "StoredAnalysis",
-    "build_product_network",
     "choose_method",
     "code_version_salt",
     "result_code_salt",

@@ -61,10 +61,10 @@ class ResilienceResult:
 def finite_value(value: float) -> float | int:
     """Normalize a finite value to an integer when it is exactly integral.
 
-    No ``isclose``-style rounding: :func:`repro.flow.mincut.min_cut` already
-    runs integral networks in exact integer arithmetic, so an integral result
-    arrives here as an exact float and a genuinely fractional one must be
-    passed through unchanged.
+    No ``isclose``-style rounding: the min-cut solvers in
+    :mod:`repro.flow.compiled` run in exact integer arithmetic, so an integral
+    result arrives here as an exact float and anything else must be passed
+    through unchanged.
     """
     if value == INFINITE:
         return INFINITE

@@ -118,8 +118,8 @@ def test_disk_store_cold_then_warm_pass_hits(database, store_directory, tmp_path
 def test_reference_flow_solver_is_outcome_identical(database, monkeypatch):
     """The min-cut solver is an execution strategy, never a semantic.
 
-    The whole matrix runs once with the array-native solver and once with the
-    retained object-layer reference solver (``REPRO_FLOW_SOLVER=reference``);
+    The whole matrix runs once with the fast blocking-flow solver and once with
+    the textbook reference solver (``REPRO_FLOW_SOLVER=reference``);
     the outcome streams must be byte-identical — same values, same contingency
     sets, same details — because both solvers run on the identical compiled
     network and exact max flows have canonical cuts.

@@ -2,15 +2,13 @@
 
 Pins three claims:
 
-* :func:`~repro.flow.compiled.fast_min_cut` is a drop-in for the reference
-  :func:`~repro.flow.mincut.min_cut` — on exact-arithmetic networks (ints and
-  dyadic fractions) the whole :class:`~repro.flow.mincut.MinCutResult` is
-  equal field for field, and on every network the returned cut is a *verified*
-  minimum cut (it disconnects, and its cost certifies minimality against the
-  max flow);
-* the substrate compilers emit graphs whose solutions match both the retained
-  object-network builders and the reference solver mode, byte for byte where
-  it matters (values, cut facts, details);
+* the fast :func:`~repro.flow.min_cut_compiled` and the textbook
+  :func:`~repro.flow.min_cut_reference` return the same
+  :class:`~repro.flow.CompiledCut` field for field on every compiled graph,
+  and that cut is a *verified* minimum cut (it disconnects, and its cost
+  equals the value);
+* the substrate compilers emit graphs whose solutions agree with the exact
+  search and whose cuts are contingency sets, in both solver modes;
 * substrates are built once per database and shared across queries.
 """
 
@@ -20,168 +18,132 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import ReproError
 from repro.flow import (
     INFINITY,
-    FlowNetwork,
     bcl_substrate,
     compile_bcl_graph,
-    compile_network,
     compile_product_graph,
-    fast_min_cut,
-    min_cut,
+    default_flow_solver,
     min_cut_compiled,
+    min_cut_reference,
     product_substrate,
-    solve_min_cut,
 )
-from repro.graphdb import GraphDatabase, generators
+from repro.graphdb import generators
 from repro.languages import Language, chain, read_once
 from repro.resilience import (
     resilience,
     resilience_bcl,
+    resilience_exact,
     resilience_local,
     resilience_many,
     resilience_one_dangling,
     verify_contingency_set,
 )
-from repro.resilience.bcl_flow import build_bcl_network
-from repro.resilience.local_flow import build_product_network
+from test_flow import build, is_cut
 
-
-# Dyadic fractions add and subtract exactly in binary floating point, so the
-# fast and reference solvers do identical arithmetic on them — genuinely
-# fractional capacities without float-rounding nondeterminism.
-_CAPACITIES = st.one_of(
-    st.integers(min_value=0, max_value=7),
-    st.just(INFINITY),
-    st.sampled_from([0.25, 0.5, 0.75, 1.5, 2.25, 3.75]),
-)
+_CAPACITIES = st.one_of(st.integers(min_value=0, max_value=7), st.just(INFINITY))
 
 
 @st.composite
-def networks(draw):
-    """Random networks: ∞/zero/fractional capacities, parallel edges, possibly
-    disconnected source/target (nodes 0 and 1)."""
+def graphs(draw):
+    """Random compiled graphs: ∞/zero capacities, parallel edges, a possibly
+    disconnected target, and possibly ``source == target``."""
     num_nodes = draw(st.integers(min_value=2, max_value=7))
-    edges = draw(
-        st.lists(
-            st.tuples(
-                st.integers(0, num_nodes - 1),
-                st.integers(0, num_nodes - 1),
-                _CAPACITIES,
-            ),
-            max_size=22,
-        )
-    )
-    network = FlowNetwork(source=0, target=1)
-    for key, (source, target, capacity) in enumerate(edges):
-        network.add_edge(source, target, capacity, key=key)
-    return network
+    nodes = st.integers(0, num_nodes - 1)
+    edges = draw(st.lists(st.tuples(nodes, nodes, _CAPACITIES), max_size=22))
+    keyed = [(tail, head, capacity, key) for key, (tail, head, capacity) in enumerate(edges)]
+    return build(keyed, num_nodes=num_nodes, source=draw(nodes), target=draw(nodes))
 
 
-class TestFastMinCutDifferential:
+class TestSolverDifferential:
     @settings(max_examples=250, deadline=None)
-    @given(networks())
-    def test_equals_reference_and_cut_is_verified_minimum(self, network):
-        reference = min_cut(network)
-        fast = fast_min_cut(network)
-        assert fast.value == reference.value
-        if reference.value == INFINITY:
-            assert fast.cut_edges == ()
-            return
+    @given(graphs())
+    def test_solvers_agree_and_cut_is_verified_minimum(self, graph):
+        fast = min_cut_compiled(graph)
+        reference = min_cut_reference(graph)
         # Exact arithmetic → the residual-reachable cut is canonical: the two
         # solvers agree on every field, including cut edge order.
         assert fast == reference
-        for result in (fast, reference):
-            assert network.is_cut(result.cut_edges)
-            # Weak duality: a cut whose cost equals the max flow is minimum.
-            assert network.cost(result.cut_edges) == result.max_flow == result.value
+        if fast.value == INFINITY:
+            assert fast.cut_edges == () and fast.cut_keys == ()
+            return
+        assert is_cut(graph, fast.cut_edges)
+        # Weak duality: a cut whose cost equals the max flow is minimum.
+        capacities = [graph.arc_capacity[graph.forward_pos[edge]] for edge in fast.cut_edges]
+        assert sum(capacities) == fast.value
+        assert fast.cut_keys == tuple(graph.arc_key[edge] for edge in fast.cut_edges)
 
-    @settings(max_examples=60, deadline=None)
-    @given(networks())
-    def test_compiled_graph_round_trips_through_to_network(self, network):
-        graph, _ = compile_network(network)
-        back = graph.to_network()
-        assert min_cut(back).value == min_cut(network).value
+    @pytest.mark.parametrize("solve", [min_cut_compiled, min_cut_reference])
+    def test_source_equals_target(self, solve):
+        assert solve(build([(0, 2, 3, "a")], source=0, target=0)).value == math.inf
 
-    def test_source_equals_target(self):
-        network = FlowNetwork(source="s", target="s")
-        network.add_edge("s", "u", 3)
-        assert fast_min_cut(network) == min_cut(network)
-        assert fast_min_cut(network).value == math.inf
+    @pytest.mark.parametrize("solve", [min_cut_compiled, min_cut_reference])
+    def test_disconnected_target(self, solve):
+        result = solve(build([(0, 2, 4, "a")]))
+        assert result.value == 0 and result.cut_edges == ()
 
-    def test_disconnected_target(self):
-        network = FlowNetwork(source="s", target="t")
-        network.add_edge("s", "u", 4)
-        assert fast_min_cut(network) == min_cut(network)
-        assert fast_min_cut(network).value == 0
+    @pytest.mark.parametrize("solve", [min_cut_compiled, min_cut_reference])
+    def test_all_infinite_path(self, solve):
+        result = solve(build([(0, 2, INFINITY, None), (2, 1, INFINITY, None)]))
+        assert result.value == math.inf and result.cut_edges == ()
 
-    def test_all_infinite_path(self):
-        network = FlowNetwork(source="s", target="t")
-        network.add_edge("s", "m", INFINITY)
-        network.add_edge("m", "t", INFINITY)
-        assert fast_min_cut(network).value == math.inf
-
-    def test_zero_capacity_edges_are_ignored(self):
-        network = FlowNetwork(source="s", target="t")
-        network.add_edge("s", "t", 0, key="dead")
-        network.add_edge("s", "t", 2, key="live")
-        result = fast_min_cut(network)
+    @pytest.mark.parametrize("solve", [min_cut_compiled, min_cut_reference])
+    def test_zero_capacity_edges_are_ignored(self, solve):
+        result = solve(build([(0, 1, 0, "dead"), (0, 1, 2, "live")]))
         assert result.value == 2
         assert result.cut_keys == ("live",)
 
-    def test_parallel_edges_accumulate(self):
-        network = FlowNetwork(source="s", target="t")
-        network.add_edge("s", "t", 2, key="first")
-        network.add_edge("s", "t", 3, key="second")
-        result = fast_min_cut(network)
+    @pytest.mark.parametrize("solve", [min_cut_compiled, min_cut_reference])
+    def test_parallel_edges_accumulate(self, solve):
+        result = solve(build([(0, 1, 2, "first"), (0, 1, 3, "second")]))
         assert result.value == 5
-        assert set(result.cut_keys) == {"first", "second"}
+        assert result.cut_keys == ("first", "second")
 
-    def test_integral_value_is_snapped_to_float(self):
-        network = FlowNetwork(source="s", target="t")
-        network.add_edge("s", "t", 7)
-        value = fast_min_cut(network).value
+    @pytest.mark.parametrize("solve", [min_cut_compiled, min_cut_reference])
+    def test_integral_value_is_snapped_to_float(self, solve):
+        value = solve(build([(0, 1, 7, None)])).value
         assert value == 7.0 and isinstance(value, float)
-
-    def test_fractional_value_is_not_snapped(self):
-        network = FlowNetwork(source="s", target="t")
-        network.add_edge("s", "t", 3 + 1e-10)
-        assert fast_min_cut(network).value == 3 + 1e-10
 
 
 def _random_bag(seed, alphabet="axb"):
     return generators.random_bag_database(5, 12, alphabet, seed=seed, max_multiplicity=4)
 
 
-class TestCompiledReductionsMatchObjectNetworks:
-    """The compiled product graphs solve to the same cuts as the retained
-    object-network builders (same networks, two representations)."""
+@pytest.fixture(params=["fast", "reference"])
+def flow_solver(request, monkeypatch):
+    monkeypatch.setenv("REPRO_FLOW_SOLVER", request.param)
+    return request.param
+
+
+def _assert_matches_exact(language, database, result):
+    assert result.value == resilience_exact(language, database).value
+    assert verify_contingency_set(language, database, result)
+
+
+class TestCompiledReductionsMatchExact:
+    """The compiled product graphs solve to the exact resilience, and their
+    cuts map back to contingency sets, under either solver."""
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_local_product(self, seed):
+    def test_local_product(self, seed, flow_solver):
         language = Language.from_regex("ax*b")
-        automaton = read_once.read_once_automaton(language)
         bag = generators.layered_flow_database(3, 3, seed=seed)
-        graph = compile_product_graph(automaton, bag.index())
-        compiled = min_cut_compiled(graph)
-        reference = min_cut(build_product_network(automaton, bag))
-        assert compiled.value == reference.value
-        assert frozenset(compiled.cut_keys) == frozenset(
-            edge.key for edge in reference.cut_edges if edge.key is not None
-        )
+        _assert_matches_exact(language, bag, resilience_local(language, bag))
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_bcl_product(self, seed):
+    def test_bcl_product(self, seed, flow_solver):
         language = Language.from_regex("ab|bc")
-        structure = chain.bcl_structure(language)
         bag = _random_bag(seed, alphabet="abc")
-        graph = compile_bcl_graph(structure, bag.index())
-        compiled = min_cut_compiled(graph)
-        reference = min_cut(build_bcl_network(structure, bag))
-        assert compiled.value == reference.value
-        assert frozenset(compiled.cut_keys) == frozenset(
-            edge.key for edge in reference.cut_edges if edge.key is not None
-        )
+        _assert_matches_exact(language, bag, resilience_bcl(language, bag))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_trimmed_product(self, seed, flow_solver):
+        # The compiled graph is trimmed to its useful core; values and cut
+        # facts must nevertheless be those of the full reduction.
+        language = Language.from_regex("ax*b")
+        database = generators.random_labelled_graph(6, 14, "axbz", seed=seed)
+        _assert_matches_exact(language, database, resilience_local(language, database))
 
     @pytest.mark.parametrize("expression", ["ax*b", "ab|bc", "abc|be"])
     @pytest.mark.parametrize("seed", range(4))
@@ -194,42 +156,32 @@ class TestCompiledReductionsMatchObjectNetworks:
         reference = resilience(expression, database)
         assert fast == reference
 
-    @pytest.mark.parametrize("solver", ["fast", "reference"])
     @pytest.mark.parametrize("seed", range(4))
-    def test_local_solver_modes_agree_with_exact(self, solver, seed):
+    def test_local_solver_modes_agree_with_exact(self, seed, flow_solver):
         language = Language.from_regex("ax*b")
         database = generators.random_labelled_graph(5, 10, "axb", seed=seed)
-        result = resilience_local(language, database, solver=solver)
-        assert verify_contingency_set(language, database, result)
-        assert result == resilience_local(language, database, solver="fast")
+        _assert_matches_exact(language, database, resilience_local(language, database))
 
-    @pytest.mark.parametrize("solver", ["fast", "reference"])
-    def test_bcl_solver_modes_agree(self, solver):
+    def test_bcl_solver_modes_agree_with_exact(self, flow_solver):
         language = Language.from_regex("ab|bc|b")
         for seed in range(4):
             bag = _random_bag(seed, alphabet="abc")
-            result = resilience_bcl(language, bag, solver=solver)
-            assert result == resilience_bcl(language, bag, solver="fast")
-            assert verify_contingency_set(language, bag, result)
+            _assert_matches_exact(language, bag, resilience_bcl(language, bag))
 
-    @pytest.mark.parametrize("solver", ["fast", "reference"])
-    def test_one_dangling_solver_modes_agree(self, solver):
+    def test_one_dangling_solver_modes_agree_with_exact(self, flow_solver):
         language = Language.from_regex("abc|be")
         for seed in range(4):
             bag = _random_bag(seed, alphabet="abce")
-            result = resilience_one_dangling(language, bag, solver=solver)
-            assert result == resilience_one_dangling(language, bag, solver="fast")
-            assert verify_contingency_set(language, bag, result)
+            _assert_matches_exact(language, bag, resilience_one_dangling(language, bag))
 
     def test_solver_env_override(self, monkeypatch):
-        from repro.exceptions import ReproError
-        from repro.flow import default_flow_solver
-
         monkeypatch.setenv("REPRO_FLOW_SOLVER", "reference")
         assert default_flow_solver() == "reference"
         monkeypatch.setenv("REPRO_FLOW_SOLVER", "bogus")
         with pytest.raises(ReproError):
             default_flow_solver()
+        with pytest.raises(ReproError):
+            resilience("ax*b", generators.layered_flow_database(2, 2, seed=0))
         monkeypatch.delenv("REPRO_FLOW_SOLVER")
         assert default_flow_solver() == "fast"
 
@@ -277,29 +229,15 @@ class TestSubstrateReuse:
         assert substrate.graphs_compiled == compiled_before
         assert substrate.graph_hits >= 1
 
-    def test_trim_preserves_values_and_cut_facts(self):
-        # The compiled graph is trimmed to its useful core; the object network
-        # is not.  Values and cut facts must nevertheless coincide.
-        language = Language.from_regex("ax*b")
-        automaton = read_once.read_once_automaton(language)
-        for seed in range(5):
-            database = generators.random_labelled_graph(6, 14, "axbz", seed=seed)
-            bag = database.unit_bag()
-            graph = compile_product_graph(automaton, bag.index())
-            compiled = min_cut_compiled(graph)
-            reference = min_cut(build_product_network(automaton, bag))
-            assert compiled.value == reference.value, seed
-            assert frozenset(compiled.cut_keys) == frozenset(
-                edge.key for edge in reference.cut_edges if edge.key is not None
-            ), seed
-
-    def test_solver_modes_share_the_compiled_graph(self):
+    def test_solvers_agree_on_a_compiled_product_graph(self):
         bag = generators.layered_flow_database(3, 3, seed=7)
-        language = Language.from_regex("ax*b")
-        automaton = read_once.read_once_automaton(language)
+        automaton = read_once.read_once_automaton(Language.from_regex("ax*b"))
         graph = compile_product_graph(automaton, bag.index())
-        fast = solve_min_cut(graph, solver="fast")
-        reference = solve_min_cut(graph, solver="reference")
-        assert fast.value == reference.value
-        assert fast.cut_edges == reference.cut_edges
-        assert fast.cut_keys == reference.cut_keys
+        fast = min_cut_compiled(graph)
+        assert fast.value > 0
+        assert fast == min_cut_reference(graph)
+
+    def test_solvers_agree_on_a_compiled_bcl_graph(self):
+        structure = chain.bcl_structure(Language.from_regex("ab|bc"))
+        graph = compile_bcl_graph(structure, _random_bag(3, alphabet="abc").index())
+        assert min_cut_compiled(graph) == min_cut_reference(graph)

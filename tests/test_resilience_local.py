@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import NotLocalError
+from repro.flow import INFINITY, FlowGraphBuilder, compile_product_graph, min_cut_compiled
 from repro.graphdb import BagGraphDatabase, GraphDatabase, generators
 from repro.languages import Language
 from repro.resilience import (
@@ -10,27 +11,40 @@ from repro.resilience import (
     resilience_local,
     verify_contingency_set,
 )
-from repro.resilience.local_flow import build_product_network, resilience_local_via_profile
 from repro.languages import read_once
 
 
 class TestProductNetwork:
-    def test_one_finite_edge_per_fact(self):
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_finite_arc_per_matched_fact(self, seed):
+        # Every fact whose label the automaton reads gets exactly one finite
+        # arc; the compiled graph is trimmed to its useful core, so the arcs
+        # that survive are exactly those of facts on some match.
+        words = {"ab", "ad", "cd"}
         language = Language.from_regex("ab|ad|cd")
         automaton = read_once.read_once_automaton(language)
-        database = generators.random_labelled_graph(4, 8, "abcd", seed=0).to_bag(1)
-        network = build_product_network(automaton, database)
-        finite_edges = [edge for edge in network.edges if edge.capacity != float("inf")]
-        covered_facts = {edge.key for edge in finite_edges}
-        expected = {fact for fact in database.facts if fact.label in language.alphabet}
-        assert covered_facts == expected
-        assert len(finite_edges) == len(expected)
+        database = generators.random_labelled_graph(4, 8, "abcd", seed=seed).to_bag(1)
+        graph = compile_product_graph(automaton, database.index())
+        finite_keys = [
+            graph.arc_key[edge]
+            for edge, position in enumerate(graph.forward_pos)
+            if graph.arc_capacity[position] != INFINITY
+        ]
+        matched = {
+            fact
+            for first in database.facts
+            for second in database.facts
+            if first.target == second.source and first.label + second.label in words
+            for fact in (first, second)
+        }
+        assert len(finite_keys) == len(set(finite_keys))
+        assert set(finite_keys) == matched
 
     def test_rejects_non_read_once_automaton(self):
         language = Language.from_regex("ab|ad|cd")
         database = GraphDatabase.from_edges([("u", "a", "v")]).to_bag(1)
         with pytest.raises(NotLocalError):
-            build_product_network(language.automaton, database)
+            compile_product_graph(language.automaton, database.index())
 
 
 class TestCorrectness:
@@ -56,14 +70,17 @@ class TestCorrectness:
 
     def test_mincut_connection_on_layered_flow(self):
         # Section 1: RES_bag(a x* b) on a flow-network database equals MinCut.
-        from repro.flow import FlowNetwork, min_cut_value
-
         bag = generators.layered_flow_database(3, 3, seed=4)
         result = resilience_local(Language.from_regex("ax*b"), bag)
-        network = FlowNetwork(source="SRC", target="SNK")
-        for fact, multiplicity in bag.multiplicities().items():
-            network.add_edge(fact.source, fact.target, multiplicity)
-        assert result.value == min_cut_value(network)
+        multiplicities = bag.multiplicities()
+        node_ids = {"SRC": 0, "SNK": 1}
+        for fact in multiplicities:
+            node_ids.setdefault(fact.source, len(node_ids))
+            node_ids.setdefault(fact.target, len(node_ids))
+        builder = FlowGraphBuilder(len(node_ids))
+        for fact, multiplicity in multiplicities.items():
+            builder.add(node_ids[fact.source], node_ids[fact.target], multiplicity)
+        assert result.value == min_cut_compiled(builder.build(0, 1)).value
 
     def test_raises_for_non_local_language(self):
         database = GraphDatabase.from_edges([("u", "a", "v")])
@@ -85,15 +102,6 @@ class TestCorrectness:
         result = resilience_local(Language.from_regex("ab|ad|cd"), database)
         assert result.value == 0
         assert result.contingency_set == frozenset()
-
-    def test_profile_variant_agrees(self):
-        language = Language.from_regex("ab|ad|cd")
-        for seed in range(3):
-            database = generators.random_labelled_graph(5, 9, "abcd", seed=seed)
-            assert (
-                resilience_local(language, database).value
-                == resilience_local_via_profile(language, database).value
-            )
 
     def test_if_of_language_used_transparently(self):
         # L0 = a | aa: IF(L0) = a is local; the engine handles this (Section 3.2).

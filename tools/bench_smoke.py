@@ -32,18 +32,15 @@ BENCH_DIR = REPO_ROOT / "benchmarks"
 # admission-controlled front-end and emits BENCH_async.json; the distributed
 # benchmark exercises the fingerprint-routed exchange and emits
 # BENCH_distributed.json; the soak benchmark drives the chaos soak harness
-# end to end and emits BENCH_soak.json; the flow-core benchmark emits the
-# BENCH_flow.json artefact ci.sh's regression guard reads; the cache-tier
-# benchmark proves the warm CLI → fresh-process serve path and emits
-# BENCH_cache.json), so their absence is an error, not a silently smaller
-# run.
+# end to end and emits BENCH_soak.json; the cache-tier benchmark proves the
+# warm CLI → fresh-process serve path and emits BENCH_cache.json), so their
+# absence is an error, not a silently smaller run.
 REQUIRED_BENCHMARKS = frozenset(
     {
         "bench_resilience_serve.py",
         "bench_async_serve.py",
         "bench_distributed.py",
         "bench_soak.py",
-        "bench_flow_core.py",
         "bench_cache_tier.py",
     }
 )

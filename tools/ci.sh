@@ -368,35 +368,8 @@ print(
 )
 PY
 
-echo "ci: benchmark smoke pass (includes bench_resilience_serve + bench_flow_core)"
+echo "ci: benchmark smoke pass (includes bench_resilience_serve)"
 python tools/bench_smoke.py "$@"
-
-if [ -f BENCH_flow.json ]; then
-  echo "ci: flow benchmark regression guard (BENCH_flow.json)"
-  python - <<'PY'
-import json
-from pathlib import Path
-
-data = json.loads(Path("BENCH_flow.json").read_text())
-for key in ("rows", "min_cut_speedup", "build_speedup", "serve_p50_us", "serve_p50_speedup"):
-    assert key in data, f"BENCH_flow.json missing {key!r}"
-for row in data["rows"]:
-    assert row["min_cut_us"]["fast"] > 0 and row["min_cut_us"]["reference"] > 0, row
-# Loose smoke-safe floor: the array solver must clearly beat the reference
-# even on a loaded runner (steady-state measurements put it >= 3x; the strict
-# bar is asserted by bench_flow_core.py itself outside smoke mode).
-assert data["min_cut_speedup"] >= 1.5, data["min_cut_speedup"]
-assert data["serve_p50_speedup"] >= 1.0, data["serve_p50_speedup"]
-mode = "smoke" if data.get("smoke") else "full"
-print(
-    f"ci: flow bench ok ({mode}: min-cut x{data['min_cut_speedup']:.2f}, "
-    f"build x{data['build_speedup']:.2f}, serve p50 x{data['serve_p50_speedup']:.2f})"
-)
-PY
-else
-  echo "ci: BENCH_flow.json missing (flow benchmark did not run?)" >&2
-  exit 1
-fi
 
 if [ -f BENCH_async.json ]; then
   echo "ci: async benchmark artefact check (BENCH_async.json)"
