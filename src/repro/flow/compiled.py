@@ -2,8 +2,8 @@
 
 All three tractable resilience algorithms of the paper reduce to MinCut, and
 they all solve it on one representation: a :class:`CompiledFlowGraph` stores
-the residual graph as flat ``int`` arrays in CSR form — dense node ids,
-per-node contiguous arc ranges, explicit reverse-arc indices.  Two solvers
+the residual graph as flat ``array('l')`` columns in CSR form — dense node
+ids, per-node contiguous arc ranges, explicit reverse-arc indices.  Two solvers
 run on those arrays: :func:`min_cut_compiled` (the fast path, a true
 blocking-flow DFS) and :func:`min_cut_reference` (textbook Dinic, the
 differential reference).
@@ -12,7 +12,9 @@ Representation invariants:
 
 * **Dense node ids.**  Nodes are ``0 .. num_nodes-1``; callers (the reduction
   compilers in :mod:`repro.flow.substrate`) assign ids arithmetically, so no
-  tuples are ever hashed or sorted while solving.
+  tuples are ever hashed or sorted while solving.  :meth:`FlowGraphBuilder.build`
+  then renumbers the ids of the trimmed core densely, in the callers' id
+  order, so the arrays are sized by the core rather than by the id space.
 * **CSR arcs.**  Residual arcs are numbered by *position*: node ``v``'s arcs
   occupy ``adj_start[v] .. adj_start[v+1] - 1`` of the flat ``arc_head`` /
   ``arc_capacity`` / ``arc_rev`` arrays, so the solver's cursors are plain
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from collections import deque
 from dataclasses import dataclass
 
@@ -71,8 +74,14 @@ def default_flow_solver() -> str:
 class CompiledFlowGraph:
     """An immutable residual flow graph compiled to flat CSR arrays.
 
+    The four index columns (``adj_start``, ``arc_head``, ``arc_rev``,
+    ``forward_pos``) are ``array('l')``: a cached graph then costs 8 bytes
+    per entry instead of a list slot plus an int object.  The capacities stay
+    a list, because they mix exact ints with the ``math.inf`` sentinel.
+
     Attributes:
-        num_nodes: number of dense node ids (``0 .. num_nodes-1``).
+        num_nodes: number of dense node ids (``0 .. num_nodes-1``): the
+            trimmed core plus the source and target.
         source, target: dense ids of the source and target.
         num_edges: number of *edges* (each edge owns a forward and a backward
             residual arc).
@@ -107,11 +116,11 @@ class CompiledFlowGraph:
         num_nodes: int,
         source: int,
         target: int,
-        adj_start: list[int],
-        arc_head: list[int],
+        adj_start: array,
+        arc_head: array,
         arc_capacity: list,
-        arc_rev: list[int],
-        forward_pos: list[int],
+        arc_rev: array,
+        forward_pos: array,
         arc_key: list,
     ) -> None:
         self.num_nodes = num_nodes
@@ -205,21 +214,38 @@ class FlowGraphBuilder:
         the useful core, and a dropped edge is never saturated, hence never
         crosses the residual-reachability cut — it only shrinks the arrays the
         solver sweeps each phase.
+
+        The core (plus the source and target) is then renumbered densely in
+        old-id order.  Relative node order is kept, so every node's arcs sit
+        in the same edge order as before and the solvers take the same steps;
+        edge ids, and hence cut edges and keys, are untouched.
         """
-        raw_target, raw_capacity, raw_key = self._trim(
-            source, target, self._raw_target, self._raw_capacity, self._raw_key
-        )
-        num_nodes = self.num_nodes
-        num_arcs = len(raw_target)
-        # Tail of arc ``a`` is the head of its pair partner: swap the
-        # interleaved halves with C-level slice assignments.
-        raw_tail = raw_target[:]
-        raw_tail[0::2] = raw_target[1::2]
-        raw_tail[1::2] = raw_target[0::2]
+        raw_target = self._raw_target
+        raw_capacity = self._raw_capacity
+        useful = self._useful(source, target)
+        core = sorted(useful | {source, target})
+        new_id = {node: position for position, node in enumerate(core)}
+        num_nodes = len(core)
+        heads: list[int] = []
+        tails: list[int] = []
+        capacities: list = []
+        keys: list = []
+        for edge, key in enumerate(self._raw_key):
+            head = raw_target[2 * edge]
+            tail = raw_target[2 * edge + 1]
+            if head in useful and tail in useful:
+                heads.append(new_id[head])
+                tails.append(new_id[tail])
+                capacities.append(raw_capacity[2 * edge])
+                keys.append(key)
+        num_edges = len(keys)
+        num_arcs = 2 * num_edges
         # Counting sort into CSR position order.
         counts = [0] * (num_nodes + 1)
-        for tail in raw_tail:
+        for tail in tails:
             counts[tail + 1] += 1
+        for head in heads:
+            counts[head + 1] += 1
         adj_start = counts
         for node in range(1, num_nodes + 1):
             adj_start[node] += adj_start[node - 1]
@@ -227,41 +253,36 @@ class FlowGraphBuilder:
         arc_head = [0] * num_arcs
         arc_capacity: list = [0] * num_arcs
         arc_rev = [0] * num_arcs
-        forward_pos = [0] * (num_arcs // 2)
-        for edge in range(num_arcs // 2):
-            forward = 2 * edge
-            backward = forward + 1
-            tail = raw_tail[forward]
-            head = raw_target[forward]
+        forward_pos = [0] * num_edges
+        for edge in range(num_edges):
+            tail = tails[edge]
+            head = heads[edge]
             forward_at = cursor[tail]
             cursor[tail] = forward_at + 1
             backward_at = cursor[head]
             cursor[head] = backward_at + 1
             arc_head[forward_at] = head
             arc_head[backward_at] = tail
-            arc_capacity[forward_at] = raw_capacity[forward]
+            arc_capacity[forward_at] = capacities[edge]
             arc_rev[forward_at] = backward_at
             arc_rev[backward_at] = forward_at
             forward_pos[edge] = forward_at
         return CompiledFlowGraph(
             num_nodes,
-            source,
-            target,
-            adj_start,
-            arc_head,
+            new_id[source],
+            new_id[target],
+            array("l", adj_start),
+            array("l", arc_head),
             arc_capacity,
-            arc_rev,
-            forward_pos,
-            raw_key,
+            array("l", arc_rev),
+            array("l", forward_pos),
+            keys,
         )
 
-    @staticmethod
-    def _trim(
-        source: int, target: int, raw_target: list[int], raw_capacity: list, raw_key: list
-    ) -> tuple[list[int], list, list]:
-        """Drop every edge with a useless endpoint (see :meth:`build`)."""
-        heads = raw_target[0::2]
-        tails = raw_target[1::2]
+    def _useful(self, source: int, target: int) -> set[int]:
+        """Nodes on some source→target path of forward edges (see :meth:`build`)."""
+        heads = self._raw_target[0::2]
+        tails = self._raw_target[1::2]
         successors: dict[int, list[int]] = {}
         predecessors: dict[int, list[int]] = {}
         for tail, head in zip(tails, heads):
@@ -279,23 +300,7 @@ class FlowGraphBuilder:
                         stack.append(neighbour)
             return seen
 
-        useful = closure(source, successors) & closure(target, predecessors)
-        kept = [
-            edge
-            for edge, (tail, head) in enumerate(zip(tails, heads))
-            if tail in useful and head in useful
-        ]
-        if len(kept) == len(raw_key):
-            return raw_target, raw_capacity, raw_key
-        new_target: list[int] = []
-        new_capacity: list = []
-        for edge in kept:
-            forward = 2 * edge
-            new_target.append(raw_target[forward])
-            new_target.append(raw_target[forward + 1])
-            new_capacity.append(raw_capacity[forward])
-            new_capacity.append(0)
-        return new_target, new_capacity, [raw_key[edge] for edge in kept]
+        return closure(source, successors) & closure(target, predecessors)
 
 
 @dataclass(frozen=True)
@@ -329,9 +334,11 @@ def min_cut_compiled(graph: CompiledFlowGraph) -> CompiledCut:
     if source == target:
         return _INFINITE_CUT
     num_nodes = graph.num_nodes
-    adj_start = graph.adj_start
-    arc_head = graph.arc_head
-    arc_rev = graph.arc_rev
+    # The inner loops index these columns millions of times: list indexing
+    # beats array indexing (no int boxing), so copy them once per solve.
+    adj_start = list(graph.adj_start)
+    arc_head = list(graph.arc_head)
+    arc_rev = list(graph.arc_rev)
     caps = list(graph.arc_capacity)
 
     total = 0

@@ -53,13 +53,14 @@ def _fingerprint_facts(tag: str, weighted_facts: Iterable[tuple[Fact, int]]) -> 
 class GraphDatabase:
     """A set-semantics graph database: a finite set of :class:`Fact` objects.
 
-    Databases are immutable, so the derived node set, adjacency maps and the
-    :class:`~repro.graphdb.index.DatabaseIndex` are computed lazily once and
-    cached on the instance.
+    Databases are immutable, so the derived node set, alphabet, adjacency
+    maps and the :class:`~repro.graphdb.index.DatabaseIndex` are computed
+    lazily once and cached on the instance.
     """
 
     def __init__(self, facts: Iterable[Fact | tuple[Node, str, Node]] = ()) -> None:
         self._facts: frozenset[Fact] = frozenset(_as_fact(edge) for edge in facts)
+        self._alphabet: frozenset[str] | None = None
         self._index: DatabaseIndex | None = None
         self._outgoing: dict[Node, tuple[Fact, ...]] | None = None
         self._incoming: dict[Node, tuple[Fact, ...]] | None = None
@@ -92,7 +93,9 @@ class GraphDatabase:
 
     @property
     def alphabet(self) -> frozenset[str]:
-        return frozenset(fact.label for fact in self._facts)
+        if self._alphabet is None:
+            self._alphabet = frozenset(fact.label for fact in self._facts)
+        return self._alphabet
 
     def __len__(self) -> int:
         return len(self._facts)
@@ -191,6 +194,7 @@ class GraphDatabase:
         # to the serving layer's worker processes) more than doubles the pickle
         # for nothing, because the receiver rebuilds them lazily anyway.
         state = self.__dict__.copy()
+        state["_alphabet"] = None
         state["_index"] = None
         state["_outgoing"] = None
         state["_incoming"] = None
@@ -266,6 +270,8 @@ class BagGraphDatabase:
             cleaned[fact] = multiplicity
         self._multiplicities = cleaned
         self.allow_non_positive = allow_non_positive
+        self._facts: frozenset[Fact] | None = None
+        self._alphabet: frozenset[str] | None = None
         self._database: GraphDatabase | None = None
         self._index: DatabaseIndex | None = None
         self._content_fingerprint: str | None = None
@@ -303,7 +309,9 @@ class BagGraphDatabase:
 
     @property
     def facts(self) -> frozenset[Fact]:
-        return frozenset(self._multiplicities)
+        if self._facts is None:
+            self._facts = frozenset(self._multiplicities)
+        return self._facts
 
     @property
     def nodes(self) -> frozenset[Node]:
@@ -311,7 +319,9 @@ class BagGraphDatabase:
 
     @property
     def alphabet(self) -> frozenset[str]:
-        return frozenset(fact.label for fact in self._multiplicities)
+        if self._alphabet is None:
+            self._alphabet = frozenset(fact.label for fact in self._multiplicities)
+        return self._alphabet
 
     def multiplicity(self, fact: Fact | tuple[Node, str, Node]) -> int:
         return self._multiplicities[_as_fact(fact)]
@@ -356,6 +366,8 @@ class BagGraphDatabase:
     def __getstate__(self) -> dict:
         # Same as GraphDatabase: derived caches are rebuilt lazily, don't ship.
         state = self.__dict__.copy()
+        state["_facts"] = None
+        state["_alphabet"] = None
         state["_database"] = None
         state["_index"] = None
         state["_content_fingerprint"] = None

@@ -51,10 +51,17 @@ def random_bag_database(
     seed: int = 0,
     max_multiplicity: int = 10,
 ) -> BagGraphDatabase:
-    """Return a random bag database with multiplicities in ``1..max_multiplicity``."""
+    """Return a random bag database with multiplicities in ``1..max_multiplicity``.
+
+    Multiplicities are drawn over the facts in ``repr`` order, not in
+    frozenset order, so the bag is the same in every process whatever its
+    ``PYTHONHASHSEED``.
+    """
     rng = random.Random(seed)
     base = random_labelled_graph(num_nodes, num_edges, alphabet, seed)
-    return BagGraphDatabase({fact: rng.randint(1, max_multiplicity) for fact in base.facts})
+    return BagGraphDatabase(
+        {fact: rng.randint(1, max_multiplicity) for fact in sorted(base.facts, key=repr)}
+    )
 
 
 def word_walk(word: str, prefix: str = "w", start: object | None = None, end: object | None = None) -> GraphDatabase:

@@ -16,6 +16,18 @@ A one-dangling language is ``L ∪ {xy}`` with ``L`` local and at least one of
 
 The witnessing contingency set of ``D`` is reconstructed from the cut of ``D'``
 following the proof of Claim 7.10(ii).
+
+Steps 1–2 and the compilation of the product graph of ``L'`` and ``D'``
+depend on the database only through ``D`` itself, so their outcome — κ, the
+non-positive facts, the compiled graph and the map-back tables, together a
+:class:`_Prepared` — is cached in the database's
+``bag.index().substrates["one-dangling"]``, keyed by the read-once automaton
+of ``L``, the letters ``x``, ``y``, ``z`` and the mirror flag.  A warm call is
+then a lookup, one min-cut solve and the map-back, like a warm local or BCL
+call.  The rewritten database and its index live only for the cold call; the
+mirrored case reads the facts of ``D`` reversed instead of building
+``bag.reverse()``, and maps the cut straight back to facts of ``D``.  Cuts and
+results are never cached.
 """
 
 from __future__ import annotations
@@ -23,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..exceptions import NotApplicableError
-from ..flow.compiled import solve_min_cut
+from ..flow.compiled import CompiledFlowGraph, solve_min_cut
 from ..flow.substrate import compile_product_graph
-from ..graphdb.database import BagGraphDatabase, Fact, GraphDatabase, as_bag
+from ..graphdb.database import BagGraphDatabase, Fact, GraphDatabase, Node, as_bag
 from ..languages.automata import EpsilonNFA
 from ..languages.core import Language
 from ..languages.dangling import OneDanglingDecomposition, one_dangling_decomposition
@@ -34,17 +46,35 @@ from ..languages import read_once
 from .result import INFINITE, ResilienceResult, finite_value
 
 
-@dataclass
-class _RewriteResult:
-    """The rewritten database and bookkeeping needed to map cuts back."""
+@dataclass(frozen=True)
+class _Prepared:
+    """The database-dependent half of one Proposition 7.9 reduction.
 
-    rewritten: BagGraphDatabase
+    Facts of the rewritten database ``D'`` are in the solved orientation
+    (reversed when mirrored); the map-back tables lead to facts of ``D`` as
+    stored.
+
+    Attributes:
+        kappa: total multiplicity of the ``y``-facts.
+        non_positive: the facts of ``D'`` with multiplicity ``<= 0``, removed
+            up front.
+        base_cost: their total multiplicity.
+        graph: the compiled product graph of ``L'`` and the positive part of
+            ``D'``.
+        incoming_x: node -> ``(fact of D, its redirected copy in D')`` for the
+            ``x``-facts entering the node.
+        outgoing_y: node -> the ``y``-facts of ``D`` leaving the node.
+        z_fact_of_node: node -> the ``z``-fact ``(node, in) -> node`` of ``D'``,
+            one per node with an entering ``x``-fact or a leaving ``y``-fact.
+    """
+
     kappa: int
-    z_letter: str
-    incoming_x: dict[object, list[Fact]]
-    outgoing_y: dict[object, list[Fact]]
-    z_fact_of_node: dict[object, Fact]
-    x_fact_mapping: dict[Fact, Fact]
+    non_positive: tuple[Fact, ...]
+    base_cost: int
+    graph: CompiledFlowGraph
+    incoming_x: dict[Node, tuple[tuple[Fact, Fact], ...]]
+    outgoing_y: dict[Node, tuple[Fact, ...]]
+    z_fact_of_node: dict[Node, Fact]
 
 
 def _split_x_transition(automaton: EpsilonNFA, x_letter: str, z_letter: str) -> EpsilonNFA:
@@ -66,43 +96,58 @@ def _split_x_transition(automaton: EpsilonNFA, x_letter: str, z_letter: str) -> 
     )
 
 
-def _rewrite_database(
-    bag: BagGraphDatabase, x_letter: str, y_letter: str, z_letter: str
-) -> _RewriteResult:
-    """Apply the database rewriting of Proposition 7.9 (see module docstring)."""
-    multiplicities = bag.multiplicity_map()
-    incoming_x: dict[object, list[Fact]] = {}
-    outgoing_y: dict[object, list[Fact]] = {}
-    for fact in multiplicities:
-        if fact.label == x_letter:
-            incoming_x.setdefault(fact.target, []).append(fact)
-        if fact.label == y_letter:
-            outgoing_y.setdefault(fact.source, []).append(fact)
-
-    new_multiplicities: dict[Fact, int] = {}
-    x_fact_mapping: dict[Fact, Fact] = {}
-    z_fact_of_node: dict[object, Fact] = {}
+def _prepare(
+    bag: BagGraphDatabase,
+    local_automaton: EpsilonNFA,
+    x_letter: str,
+    y_letter: str,
+    z_letter: str,
+    mirrored: bool,
+) -> _Prepared:
+    """Rewrite the database (see module docstring) and compile its product graph."""
+    rewritten: dict[Fact, int] = {}
+    incoming_x: dict[Node, list[tuple[Fact, Fact]]] = {}
+    outgoing_y: dict[Node, list[Fact]] = {}
+    in_sum: dict[Node, int] = {}
+    out_sum: dict[Node, int] = {}
     kappa = 0
-    touched_nodes = set(incoming_x) | set(outgoing_y)
-    for fact, multiplicity in multiplicities.items():
-        if fact.label == y_letter:
+    for fact, multiplicity in bag.multiplicity_map().items():
+        oriented = Fact(fact.target, fact.label, fact.source) if mirrored else fact
+        if oriented.label == y_letter:
             kappa += multiplicity
-            continue
-        if fact.label == x_letter:
-            redirected = Fact(fact.source, x_letter, (fact.target, "in"))
-            new_multiplicities[redirected] = multiplicity
-            x_fact_mapping[fact] = redirected
-            continue
-        new_multiplicities[fact] = multiplicity
-    for node in touched_nodes:
-        in_sum = sum(multiplicities[fact] for fact in incoming_x.get(node, ()))
-        out_sum = sum(multiplicities[fact] for fact in outgoing_y.get(node, ()))
+            outgoing_y.setdefault(oriented.source, []).append(fact)
+            out_sum[oriented.source] = out_sum.get(oriented.source, 0) + multiplicity
+        elif oriented.label == x_letter:
+            redirected = Fact(oriented.source, x_letter, (oriented.target, "in"))
+            rewritten[redirected] = multiplicity
+            incoming_x.setdefault(oriented.target, []).append((fact, redirected))
+            in_sum[oriented.target] = in_sum.get(oriented.target, 0) + multiplicity
+        else:
+            rewritten[oriented] = multiplicity
+    z_fact_of_node: dict[Node, Fact] = {}
+    for node in dict.fromkeys([*incoming_x, *outgoing_y]):
         z_fact = Fact((node, "in"), z_letter, node)
-        new_multiplicities[z_fact] = in_sum - out_sum
+        rewritten[z_fact] = in_sum.get(node, 0) - out_sum.get(node, 0)
         z_fact_of_node[node] = z_fact
-    rewritten = BagGraphDatabase(new_multiplicities, allow_non_positive=True)
-    return _RewriteResult(
-        rewritten, kappa, z_letter, incoming_x, outgoing_y, z_fact_of_node, x_fact_mapping
+
+    # Extended bag semantics: facts with non-positive multiplicity can always be
+    # put in the contingency set, so they are removed up front at their cost.
+    non_positive = tuple(fact for fact, mult in rewritten.items() if mult <= 0)
+    positive_part = BagGraphDatabase(
+        {fact: mult for fact, mult in rewritten.items() if mult > 0}
+    )
+    primed_automaton = _split_x_transition(local_automaton, x_letter, z_letter)
+    # The positive part's index (and the product substrate on it) is dropped
+    # when this call returns; only the compiled graph is kept.
+    graph = compile_product_graph(primed_automaton, positive_part.index())
+    return _Prepared(
+        kappa=kappa,
+        non_positive=non_positive,
+        base_cost=sum(rewritten[fact] for fact in non_positive),
+        graph=graph,
+        incoming_x={node: tuple(pairs) for node, pairs in incoming_x.items()},
+        outgoing_y={node: tuple(facts) for node, facts in outgoing_y.items()},
+        z_fact_of_node=z_fact_of_node,
     )
 
 
@@ -129,84 +174,41 @@ def resilience_one_dangling(
     if decomposition is None:
         raise NotApplicableError(f"{name} is not a one-dangling language")
 
+    # The reduction needs y fresh.  Otherwise x is the fresh letter: solve the
+    # mirror language on the mirrored database (Proposition 6.3).
+    mirrored = decomposition.y in decomposition.local_alphabet
+    if mirrored:
+        decomposition = one_dangling_decomposition(language.mirror())
+        if decomposition is None:  # pragma: no cover - mirror of one-dangling is one-dangling
+            raise NotApplicableError("mirror of a one-dangling language should be one-dangling")
     x_letter, y_letter = decomposition.x, decomposition.y
-    if y_letter not in decomposition.local_alphabet:
-        return _solve_forward(language, decomposition, bag, semantics, mirrored=False)
-    # Otherwise x is the fresh letter: mirror the language and the database
-    # (Proposition 6.3), solve, and mirror the contingency set back.
-    mirrored_language = language.mirror()
-    mirrored_decomposition = one_dangling_decomposition(mirrored_language)
-    if mirrored_decomposition is None:  # pragma: no cover - mirror of one-dangling is one-dangling
-        raise NotApplicableError("mirror of a one-dangling language should be one-dangling")
-    result = _solve_forward(
-        mirrored_language,
-        mirrored_decomposition,
-        bag.reverse(),
-        semantics,
-        mirrored=True,
-    )
-    contingency = None
-    if result.contingency_set is not None:
-        contingency = frozenset(
-            Fact(fact.target, fact.label, fact.source) for fact in result.contingency_set
-        )
-    return ResilienceResult(
-        result.value, contingency, semantics, result.method, name, details=result.details
-    )
-
-
-def _solve_forward(
-    language: Language,
-    decomposition: OneDanglingDecomposition,
-    bag: BagGraphDatabase,
-    semantics: str,
-    *,
-    mirrored: bool,
-) -> ResilienceResult:
-    """Solve the case where the second letter ``y`` of the dangling word is fresh."""
-    name = language.name or ""
-    x_letter, y_letter = decomposition.x, decomposition.y
-    local_part = decomposition.local_part
-
     z_letter = fresh_letter(language.alphabet, avoid=bag.alphabet)
-    local_ro = read_once.read_once_automaton(local_part)
-    primed_automaton = _split_x_transition(local_ro, x_letter, z_letter)
-    primed_language = Language(primed_automaton, name=f"{local_part.name or 'L'}[x->xz]")
+    local_automaton = read_once.read_once_automaton(decomposition.local_part)
 
-    rewrite = _rewrite_database(bag, x_letter, y_letter, z_letter)
+    prepared_cache = bag.index().substrates.setdefault("one-dangling", {})
+    key = (local_automaton, x_letter, y_letter, z_letter, mirrored)
+    prepared = prepared_cache.get(key)
+    if prepared is None:
+        prepared = _prepare(bag, local_automaton, x_letter, y_letter, z_letter, mirrored)
+        prepared_cache[key] = prepared
 
-    # Extended bag semantics: facts with non-positive multiplicity can always be
-    # put in the contingency set, so they are removed up front at their cost.
-    rewritten_multiplicities = rewrite.rewritten.multiplicity_map()
-    non_positive = {
-        fact: mult for fact, mult in rewritten_multiplicities.items() if mult <= 0
-    }
-    positive_part = BagGraphDatabase(
-        {fact: mult for fact, mult in rewritten_multiplicities.items() if mult > 0}
-    )
-    base_cost = sum(non_positive.values())
-
-    # The rewritten positive part is a per-query database; its index carries
-    # its own product substrate.
-    graph = compile_product_graph(primed_automaton, positive_part.index())
-    cut = solve_min_cut(graph)
+    cut = solve_min_cut(prepared.graph)
     if cut.value == INFINITE:  # pragma: no cover - epsilon not in L'
         return ResilienceResult(INFINITE, None, semantics, "one-dangling-flow", name)
-
-    primed_contingency = set(non_positive) | {
-        key for key in cut.cut_keys if isinstance(key, Fact)
-    }
-    value = cut.value + base_cost + rewrite.kappa
-
-    contingency = _map_back_contingency(bag, rewrite, primed_contingency, x_letter, y_letter)
+    primed_contingency = set(prepared.non_positive)
+    primed_contingency.update(key for key in cut.cut_keys if isinstance(key, Fact))
+    contingency = _map_back_contingency(
+        bag, prepared, primed_contingency, x_letter, z_letter, mirrored
+    )
     details = {
-        "kappa": rewrite.kappa,
-        "base_cost": base_cost,
-        "network_nodes": graph.num_nodes,
-        "network_edges": graph.num_edges,
+        "kappa": prepared.kappa,
+        "base_cost": prepared.base_cost,
+        "network_nodes": prepared.graph.num_nodes,
+        "network_edges": prepared.graph.num_edges,
         "mirrored": mirrored,
-        "primed_language": primed_language.name,
+        "primed_language": f"{decomposition.local_part.name or 'L'}[x->xz]",
     }
+    value = cut.value + prepared.base_cost + prepared.kappa
     return ResilienceResult(
         finite_value(value), frozenset(contingency), semantics, "one-dangling-flow", name, details=details
     )
@@ -214,27 +216,29 @@ def _solve_forward(
 
 def _map_back_contingency(
     bag: BagGraphDatabase,
-    rewrite: _RewriteResult,
+    prepared: _Prepared,
     primed_contingency: set[Fact],
     x_letter: str,
-    y_letter: str,
+    z_letter: str,
+    mirrored: bool,
 ) -> set[Fact]:
     """Reconstruct a contingency set of the original database (proof of Claim 7.10(ii))."""
     contingency: set[Fact] = set()
-    touched_nodes = set(rewrite.incoming_x) | set(rewrite.outgoing_y)
-    for node in touched_nodes:
-        z_fact = rewrite.z_fact_of_node.get(node)
-        if z_fact is not None and z_fact in primed_contingency:
+    for node, z_fact in prepared.z_fact_of_node.items():
+        incoming = prepared.incoming_x.get(node, ())
+        if z_fact in primed_contingency:
             # Case (a): remove every x-fact entering the node.
-            contingency.update(rewrite.incoming_x.get(node, ()))
+            contingency.update(original for original, _ in incoming)
         else:
             # Case (b): remove every y-fact leaving the node, plus the x-facts
             # whose redirected copies are in the primed contingency set.
-            contingency.update(rewrite.outgoing_y.get(node, ()))
-            for original in rewrite.incoming_x.get(node, ()):
-                if rewrite.x_fact_mapping[original] in primed_contingency:
-                    contingency.add(original)
+            contingency.update(prepared.outgoing_y.get(node, ()))
+            contingency.update(
+                original for original, redirected in incoming if redirected in primed_contingency
+            )
     for fact in primed_contingency:
-        if fact.label not in (x_letter, rewrite.z_letter) and fact in bag.facts:
-            contingency.add(fact)
+        if fact.label not in (x_letter, z_letter):
+            original = Fact(fact.target, fact.label, fact.source) if mirrored else fact
+            if original in bag:
+                contingency.add(original)
     return contingency

@@ -30,6 +30,7 @@ import asyncio
 import gc
 import json
 import math
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -751,6 +752,21 @@ class TestAbandonment:
                 round_share=1,
                 autostart=False,
             )
+            # Hold the drain before its second round until the consumer has
+            # abandoned: otherwise the tail (one query per round, well under
+            # a millisecond each) can be fully served before the event loop
+            # even sees the first outcome, and the check below would race.
+            abandoned = threading.Event()
+            serve_round = server._serve_round
+            rounds = []
+
+            def gated_round(slices):
+                if rounds:
+                    abandoned.wait(timeout=10)
+                rounds.append(slices)
+                serve_round(slices)
+
+            server._serve_round = gated_round
             with server:
                 big = await server.submit(MIXED * 8)
                 server.start()
@@ -760,18 +776,29 @@ class TestAbandonment:
                 # Breaking leaves the generator suspended until GC; aclose()
                 # is the deterministic version of that finalization.
                 await big.aclose()
+                abandoned.set()
                 # The next workload must be served with full parity.
                 follow_up = await collect(await server.submit(MIXED))
                 # Give the drain a moment to observe the abandonment, then
                 # check the tail was dropped rather than served to nobody.
                 delivered = sum(server.metrics().outcome_counts().values())
-                return follow_up, delivered
+                return follow_up, delivered, rounds
 
-        follow_up, delivered = run(scenario())
+        follow_up, delivered, rounds = run(scenario())
         assert sorted_outcomes(follow_up) == reference
         assert delivered < len(MIXED) * 8 + len(MIXED), (
             "the abandoned workload's tail must not keep being served"
         )
+        # At most the round popped before the abandonment landed runs after
+        # the first one; the rest of the tail is never dispatched.
+        big_entry = rounds[0][0][0]
+        served = sum(
+            stop - start
+            for slices in rounds
+            for entry, start, stop in slices
+            if entry is big_entry
+        )
+        assert served <= 2, f"{served} queries of the abandoned workload were served"
 
     def test_gcd_sync_generator_neither_leaks_chunks_nor_wedges_serve(
         self, database, reference

@@ -106,6 +106,76 @@ class TestSolverDifferential:
         assert value == 7.0 and isinstance(value, float)
 
 
+def _core_endpoints(graph):
+    """Distinct endpoints of the compiled graph's edges, in its own ids."""
+    endpoints = set()
+    for position in graph.forward_pos:
+        endpoints.add(graph.arc_head[position])
+        endpoints.add(graph.arc_head[graph.arc_rev[position]])
+    return endpoints
+
+
+@st.composite
+def edge_lists(draw):
+    num_nodes = draw(st.integers(min_value=2, max_value=9))
+    nodes = st.integers(0, num_nodes - 1)
+    edges = draw(st.lists(st.tuples(nodes, nodes, _CAPACITIES), max_size=22))
+    return num_nodes, edges, draw(nodes), draw(nodes)
+
+
+class TestRenumberOnTrim:
+    """``FlowGraphBuilder.build`` sizes the graph by its trimmed core."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists())
+    def test_nodes_are_the_core_plus_source_and_target(self, drawn):
+        num_nodes, edges, source, target = drawn
+        graph = build(
+            [(tail, head, capacity, key) for key, (tail, head, capacity) in enumerate(edges)],
+            num_nodes=num_nodes,
+            source=source,
+            target=target,
+        )
+        # The core, computed independently on the caller's ids: nodes on a
+        # source→target path of positive-capacity edges.
+        live = [(tail, head) for tail, head, capacity in edges if capacity > 0]
+
+        def reach(start, pairs):
+            seen, stack = {start}, [start]
+            while stack:
+                node = stack.pop()
+                for tail, head in pairs:
+                    if tail == node and head not in seen:
+                        seen.add(head)
+                        stack.append(head)
+            return seen
+
+        useful = reach(source, live) & reach(target, [(h, t) for t, h in live])
+        kept = [(tail, head) for tail, head in live if tail in useful and head in useful]
+        assert graph.num_nodes == len(useful | {source, target})
+        assert graph.num_edges == len(kept)
+        assert graph.num_nodes == len(_core_endpoints(graph) | {graph.source, graph.target})
+        assert len(graph.adj_start) == graph.num_nodes + 1
+        assert graph.arc_key == [
+            key
+            for key, (tail, head, capacity) in enumerate(edges)
+            if capacity > 0 and tail in useful and head in useful
+        ]
+
+    def test_product_graph_is_sized_by_its_core(self):
+        language = Language.from_regex("ax*b")
+        database = generators.random_labelled_graph(30, 60, "axbcd", seed=2)
+        automaton = read_once.read_once_automaton(language)
+        graph = compile_product_graph(automaton, database.unit_bag().index())
+        id_space = 2 + len(database.nodes) * len(automaton.states)
+        assert graph.num_nodes == len(_core_endpoints(graph) | {graph.source, graph.target})
+        assert graph.num_nodes < id_space
+        assert (graph.source, graph.target) == (0, 1)
+        result = resilience_local(language, database)
+        assert result.details["network_nodes"] == graph.num_nodes
+        _assert_matches_exact(language, database, result)
+
+
 def _random_bag(seed, alphabet="axb"):
     return generators.random_bag_database(5, 12, alphabet, seed=seed, max_multiplicity=4)
 

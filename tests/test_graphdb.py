@@ -1,5 +1,11 @@
 """Tests for graph databases in set and bag semantics."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import ReproError
@@ -102,7 +108,59 @@ class TestBagGraphDatabase:
         assert as_set(database) is database
 
 
+class TestCachedDerivedSets:
+    """``alphabet`` and ``facts`` are computed once and never pickled."""
+
+    def test_set_database_alphabet_is_cached(self):
+        database = GraphDatabase.from_edges([("u", "a", "v"), ("v", "b", "w")])
+        assert database.alphabet is database.alphabet
+        assert database.alphabet == {"a", "b"}
+
+    def test_bag_database_alphabet_and_facts_are_cached(self):
+        bag = BagGraphDatabase.from_edges([("u", "a", "v", 3), ("v", "b", "w", 1)])
+        assert bag.alphabet is bag.alphabet
+        assert bag.facts is bag.facts
+        assert bag.alphabet == {"a", "b"}
+        assert bag.facts == {Fact("u", "a", "v"), Fact("v", "b", "w")}
+
+    def test_pickled_copies_ship_no_cached_set(self):
+        database = GraphDatabase.from_edges([("u", "a", "v"), ("v", "b", "w")])
+        bag = database.to_bag(2)
+        for value in (database, bag):
+            cold_state = dict(value.__getstate__())
+            _ = value.alphabet, value.facts
+            assert value.__getstate__() == cold_state
+            assert value.__getstate__()["_alphabet"] is None
+            restored = pickle.loads(pickle.dumps(value))
+            assert restored._alphabet is None
+            assert restored.alphabet == value.alphabet
+        assert bag.__getstate__()["_facts"] is None
+        assert pickle.loads(pickle.dumps(bag))._facts is None
+
+
+_BAG_FINGERPRINT_SCRIPT = (
+    "from repro.graphdb import generators\n"
+    "print(generators.random_bag_database(30, 120, 'abcxy', seed=7).content_fingerprint())\n"
+)
+
+
 class TestGenerators:
+    def test_random_bag_database_ignores_the_hash_seed(self):
+        source = str(Path(__file__).resolve().parents[1] / "src")
+        fingerprints = set()
+        for hash_seed in ("1", "2"):
+            environment = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=source)
+            completed = subprocess.run(
+                [sys.executable, "-c", _BAG_FINGERPRINT_SCRIPT],
+                env=environment,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            )
+            fingerprints.add(completed.stdout.strip())
+        assert len(fingerprints) == 1
+
     def test_random_labelled_graph_reproducible(self):
         from repro.graphdb import generators
 

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.exceptions import NotApplicableError
-from repro.graphdb import GraphDatabase, generators
+from repro.graphdb import BagGraphDatabase, GraphDatabase, generators
+from repro.graphdb import database as database_module
+from repro.graphdb.index import DatabaseIndex
 from repro.languages import Language
 from repro.resilience import (
     resilience_exact,
@@ -80,3 +82,68 @@ class TestCorrectness:
         database = GraphDatabase.from_edges([("u", "a", "v"), ("w", "e", "z")])
         result = resilience_one_dangling(language, database)
         assert result.value == 0
+
+
+class TestWarmCache:
+    """A warm call is a lookup, one solve and the map-back (Prop. 7.9 cache)."""
+
+    @staticmethod
+    def _database(expression, kind):
+        language = Language.from_regex(expression)
+        alphabet = "".join(sorted(language.alphabet))
+        if kind == "bag":
+            return language, generators.random_bag_database(8, 30, alphabet, seed=4)
+        return language, generators.random_labelled_graph(8, 30, alphabet, seed=4)
+
+    @staticmethod
+    def _copy(database):
+        if isinstance(database, GraphDatabase):
+            return GraphDatabase(database.facts)
+        return BagGraphDatabase(database.multiplicities())
+
+    @pytest.mark.parametrize("kind", ["set", "bag"])
+    @pytest.mark.parametrize(
+        "expression, mirrored", [("abc|be", False), ("bx*a|dx", True)]
+    )
+    def test_second_call_builds_no_index_and_matches(self, monkeypatch, expression, mirrored, kind):
+        language, database = self._database(expression, kind)
+        first = resilience_one_dangling(language, database)
+        assert first.details["mirrored"] is mirrored
+
+        builds = []
+        original = database_module.DatabaseIndex
+
+        def counting_index(*args, **kwargs):
+            builds.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(database_module, "DatabaseIndex", counting_index)
+        second = resilience_one_dangling(language, database)
+        assert builds == []
+        assert second.value == first.value
+        assert second.contingency_set == first.contingency_set
+        assert second.details == first.details
+
+        monkeypatch.undo()
+        fresh = resilience_one_dangling(language, self._copy(database))
+        assert fresh.value == first.value
+        assert fresh.contingency_set == first.contingency_set
+        assert fresh.details == first.details
+        assert verify_contingency_set(language, database, first)
+
+    def test_mirrored_call_does_not_reverse_the_database(self, monkeypatch):
+        language, database = self._database("bx*a|dx", "bag")
+        resilience_one_dangling(language, database)
+
+        def no_reverse(self):
+            raise AssertionError("the warm mirrored path must not reverse the database")
+
+        monkeypatch.setattr(BagGraphDatabase, "reverse", no_reverse)
+        assert resilience_one_dangling(language, database).details["mirrored"] is True
+
+    def test_cache_holds_no_rewritten_database(self):
+        language, database = self._database("abc|be", "bag")
+        resilience_one_dangling(language, database)
+        (prepared,) = database.index().substrates["one-dangling"].values()
+        held = vars(prepared).values()
+        assert not any(isinstance(value, (BagGraphDatabase, DatabaseIndex)) for value in held)

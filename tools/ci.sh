@@ -85,6 +85,10 @@ for database in (
 print(f"ci: flow solver differential ok ({len(workload)} queries x 2 databases, fast == reference)")
 PY
 
+echo "ci: perfbench flow-12k (fast vs reference, verified cuts, traced == untraced on 12k-fact graphs)"
+python3 perfbench/run.py --workload flow-12k --seed 0 --seconds 1 --trace 1 > /dev/null
+echo "ci: perfbench flow-12k ok"
+
 echo "ci: async conformance variants (single workload + 3 concurrent merged)"
 python -m pytest -q tests/test_conformance.py -k "async"
 
