@@ -328,7 +328,8 @@ def min_cut_compiled(graph: CompiledFlowGraph) -> CompiledCut:
 
     The fast path.  Returns the same :class:`CompiledCut` as
     :func:`min_cut_reference` on every graph: the residual-reachable source
-    side of an exact max flow is canonical.
+    side of an exact max flow is canonical.  That side is read off the last
+    level BFS, the one that fails to reach the target.
     """
     source, target = graph.source, graph.target
     if source == target:
@@ -365,7 +366,9 @@ def min_cut_compiled(graph: CompiledFlowGraph) -> CompiledCut:
                         else:
                             queue.append(head)
         if target_level < 0:
-            break
+            # No augmenting path: this last BFS ran to completion, so the
+            # labelled nodes are exactly the residual-reachable source side.
+            return _canonical_cut(graph, [depth >= 0 for depth in level], total)
 
         # Blocking-flow phase: one iterative DFS whose per-node cursors are
         # absolute positions into the CSR arrays.
@@ -420,8 +423,6 @@ def min_cut_compiled(graph: CompiledFlowGraph) -> CompiledCut:
             node = arc_head[arc_rev[position]]
             cursor[node] += 1
 
-    return _residual_cut(graph, caps, total)
-
 
 def min_cut_reference(graph: CompiledFlowGraph) -> CompiledCut:
     """Solve MinCut on a compiled graph with textbook Dinic: the reference.
@@ -460,7 +461,7 @@ def min_cut_reference(graph: CompiledFlowGraph) -> CompiledCut:
             if pushed == 0:
                 break
             total += pushed
-    return _residual_cut(graph, caps, total)
+    return _canonical_cut(graph, _residual_reachable(graph, caps), total)
 
 
 def _augment_once(graph: CompiledFlowGraph, caps: list, level: list[int], cursor: list[int]):
@@ -503,15 +504,10 @@ def _augment_once(graph: CompiledFlowGraph, caps: list, level: list[int], cursor
         cursor[node] += 1
 
 
-def _residual_cut(graph: CompiledFlowGraph, caps: list, total) -> CompiledCut:
-    """Recover the canonical min cut from a maximum flow's residual capacities.
-
-    The cut is the set of edges leaving the nodes still reachable from the
-    source; it does not depend on which maximum flow ``caps`` encodes.
-    """
+def _residual_reachable(graph: CompiledFlowGraph, caps: list) -> bytearray:
+    """Mark the nodes reachable from the source over positive residual arcs."""
     adj_start = graph.adj_start
     arc_head = graph.arc_head
-    arc_rev = graph.arc_rev
     seen = bytearray(graph.num_nodes)
     seen[graph.source] = 1
     stack = [graph.source]
@@ -523,12 +519,24 @@ def _residual_cut(graph: CompiledFlowGraph, caps: list, total) -> CompiledCut:
                 if not seen[head]:
                     seen[head] = 1
                     stack.append(head)
+    return seen
+
+
+def _canonical_cut(graph: CompiledFlowGraph, source_side, total) -> CompiledCut:
+    """Build the canonical min cut from a maximum flow's residual source side.
+
+    ``source_side[node]`` is true exactly for the nodes still reachable from
+    the source in the residual graph; the cut is the set of edges leaving
+    them, which does not depend on which maximum flow was found.
+    """
+    arc_head = graph.arc_head
+    arc_rev = graph.arc_rev
     original = graph.arc_capacity
     cut_edges = tuple(
         edge
         for edge, position in enumerate(graph.forward_pos)
-        if seen[arc_head[arc_rev[position]]]
-        and not seen[arc_head[position]]
+        if source_side[arc_head[arc_rev[position]]]
+        and not source_side[arc_head[position]]
         and original[position] > 0
     )
     return CompiledCut(

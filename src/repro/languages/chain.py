@@ -77,7 +77,14 @@ def bipartition(adjacency: dict[str, set[str]]) -> tuple[set[str], set[str]] | N
 
 
 def is_bipartite_chain_language(language: Language) -> bool:
-    """Return whether the language is a bipartite chain language (Definition 7.2)."""
+    """Return whether the language is a bipartite chain language (Definition 7.2).
+
+    Memoized on the instance (:meth:`~repro.languages.core.Language.memo`).
+    """
+    return language.memo("is_bipartite_chain_language", _is_bipartite_chain_language)
+
+
+def _is_bipartite_chain_language(language: Language) -> bool:
     if not is_chain_language(language):
         return False
     return bipartition(endpoint_graph(language)) is not None
@@ -116,11 +123,17 @@ class BclStructure:
 def bcl_structure(language: Language) -> BclStructure:
     """Analyse a BCL and compute the bipartition-driven word orientation of Proposition 7.6.
 
+    Memoized on the instance (:meth:`~repro.languages.core.Language.memo`).
+
     Raises:
         NotApplicableError: if the language is not a bipartite chain language.
     """
     if not is_bipartite_chain_language(language):
         raise NotApplicableError(f"language {language} is not a bipartite chain language")
+    return language.memo("bcl_structure", _bcl_structure)
+
+
+def _bcl_structure(language: Language) -> BclStructure:
     words = language.words()
     has_epsilon = "" in words
     single_letters = frozenset(word for word in words if len(word) == 1)

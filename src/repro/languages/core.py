@@ -8,14 +8,17 @@ modules of :mod:`repro.languages` accept :class:`Language` objects.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from functools import cached_property
+from typing import Any
 
 from ..exceptions import NotFiniteError
 from . import operations
 from .automata import EpsilonNFA
 from .regex import regex_to_automaton
 from .words import mirror as mirror_word
+
+_MISSING = object()
 
 
 # repro: allow[ipc-cache-pickle] -- memoized derivations ship with the pickle
@@ -32,6 +35,7 @@ class Language:
         self.name = name
         self._infix_free: "Language | None" = None
         self._fingerprint: str | None = None
+        self._memos: dict[str, object] = {}
 
     # ------------------------------------------------------------------ constructors
 
@@ -131,6 +135,24 @@ class Language:
             self._fingerprint = operations.canonical_fingerprint(self._automaton)
         return self._fingerprint
 
+    def memo(self, key: str, compute: "Callable[[Language], Any]") -> Any:
+        """Return ``compute(self)``, computed at most once per instance under ``key``.
+
+        The memo behind the dispatcher's per-language analyses — locality,
+        the BCL check and structure, the one-dangling decomposition, the
+        mirror and the read-once automaton.  A language's class depends on
+        its automaton only, never on a database, so each analysis runs once
+        per instance and every later call is a dict lookup.  ``compute`` must
+        be a pure function of the automaton (its answer may be ``None``); an
+        exception is not memoized.  Memos pickle with the language, and
+        :meth:`relabelled` copies them.
+        """
+        value = self._memos.get(key, _MISSING)
+        if value is _MISSING:
+            value = compute(self)
+            self._memos[key] = value
+        return value
+
     # ------------------------------------------------------------------ comparisons
 
     def equivalent_to(self, other: "Language") -> bool:
@@ -144,9 +166,11 @@ class Language:
     # ------------------------------------------------------------------ transformations
 
     def mirror(self) -> "Language":
-        """Return the mirror language ``L^R`` (Proposition 6.3)."""
-        mirrored = Language(self._automaton.reverse().trim(), name=self._mirror_name())
-        return mirrored
+        """Return the mirror language ``L^R`` (Proposition 6.3), memoized on the instance.
+
+        The returned object is shared, like :meth:`infix_free`'s.
+        """
+        return self.memo("mirror", _mirror)
 
     def _mirror_name(self) -> str | None:
         if self.name is None:
@@ -177,12 +201,15 @@ class Language:
         """Return a copy of this language under a different display name.
 
         The copy shares the automaton and every cached analysis (finiteness,
-        word set, memoized infix-free sublanguage, ...) with the original; only
-        the name differs.  This is the mutation-free replacement for assigning
-        ``language.name`` on a shared (e.g. memoized) instance.
+        word set, memoized infix-free sublanguage, :meth:`memo` entries, ...)
+        with the original; only the name differs.  Analyses memoized later on
+        either instance stay on that instance.  This is the mutation-free
+        replacement for assigning ``language.name`` on a shared (e.g.
+        memoized) instance.
         """
         clone = Language(self._automaton)
         clone.__dict__.update(self.__dict__)
+        clone._memos = dict(self._memos)
         clone.name = name
         return clone
 
@@ -294,3 +321,8 @@ class Language:
 
     def __str__(self) -> str:
         return self.name if self.name is not None else self._automaton.describe()
+
+
+def _mirror(language: Language) -> Language:
+    """Build the mirror language of :meth:`Language.mirror` (uncached)."""
+    return Language(language.automaton.reverse().trim(), name=language._mirror_name())

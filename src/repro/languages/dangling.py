@@ -51,8 +51,14 @@ def one_dangling_decomposition(language: Language) -> OneDanglingDecomposition |
 
     The search tries every two-letter word ``xy`` of the language with ``x != y``,
     removes it, and checks that the rest is local and does not use at least one
-    of ``x`` and ``y``.
+    of ``x`` and ``y``.  Memoized on the instance
+    (:meth:`~repro.languages.core.Language.memo`), so the returned local part
+    is one shared language whose own analyses are memoized in turn.
     """
+    return language.memo("one_dangling_decomposition", _one_dangling_decomposition)
+
+
+def _one_dangling_decomposition(language: Language) -> OneDanglingDecomposition | None:
     two_letter_words = sorted(
         word for word in language.words_up_to_length(2) if len(word) == 2 and word[0] != word[1]
     )

@@ -126,8 +126,13 @@ def is_local(language: Language) -> bool:
     The language is local iff it equals the language of its local
     overapproximation.  This also yields the PTIME locality test for DFAs of
     Proposition 3.12 (and works for any epsilon-NFA input, at the cost of a
-    determinization during the equivalence check).
+    determinization during the equivalence check).  Memoized on the instance
+    (:meth:`~repro.languages.core.Language.memo`).
     """
+    return language.memo("is_local", _is_local)
+
+
+def _is_local(language: Language) -> bool:
     approximation = local_overapproximation(language)
     return operations.equivalent(language.automaton, approximation)
 

@@ -54,19 +54,15 @@ def read_once_to_local_dfa(automaton: EpsilonNFA) -> EpsilonNFA:
     return result
 
 
-def _memoized_read_once(language: Language) -> EpsilonNFA:
-    """The RO-epsilon-NFA of the local overapproximation, memoized on the instance.
+def _build_read_once(language: Language) -> EpsilonNFA:
+    """The RO-epsilon-NFA of the local overapproximation (memoized by its callers).
 
     The construction is deterministic, so repeated flow queries through a
     shared language — the session caches resolve duplicates and equivalent
     queries to one instance — reuse one automaton object, which in turn keeps
     the per-database compiled product-graph cache hot.
     """
-    memoized = getattr(language, "_read_once_automaton", None)
-    if memoized is None:
-        memoized = local_dfa_to_read_once(local.local_overapproximation(language))
-        language._read_once_automaton = memoized
-    return memoized
+    return local_dfa_to_read_once(local.local_overapproximation(language))
 
 
 def read_once_automaton(language: Language) -> EpsilonNFA:
@@ -77,7 +73,7 @@ def read_once_automaton(language: Language) -> EpsilonNFA:
     """
     if not local.is_local(language):
         raise NotLocalError(f"language {language} is not local")
-    return _memoized_read_once(language)
+    return language.memo("read_once_automaton", _build_read_once)
 
 
 def read_once_automaton_unchecked(language: Language) -> EpsilonNFA:
@@ -90,4 +86,4 @@ def read_once_automaton_unchecked(language: Language) -> EpsilonNFA:
     two constructions coincide, and the unchecked variant's callers promise
     locality).
     """
-    return _memoized_read_once(language)
+    return language.memo("read_once_automaton", _build_read_once)

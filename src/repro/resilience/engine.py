@@ -7,6 +7,13 @@ reduction (Proposition 7.6) and the one-dangling reduction (Proposition 7.9), an
 finally falls back to the exact branch-and-bound baseline (which is correct for
 every language but may take exponential time).
 
+A language's class depends on the query only, never on the database, so the
+analyses behind it — locality, the BCL check and structure, the one-dangling
+decomposition, the mirror and the read-once automaton — are memoized on the
+language instance (:meth:`~repro.languages.core.Language.memo`).  The first
+call on an instance derives them; every later call, with any database, only
+looks them up and then searches or solves.
+
 Forced-method semantics: passing ``method=`` to :func:`resilience` normally
 *validates* that the forced algorithm is applicable to the (infix-free) query
 language and raises :class:`~repro.exceptions.ReproError` when it is not —
@@ -49,7 +56,8 @@ def choose_method(language: Language, *, infix_free: Language | None = None) -> 
     One of ``"trivial-epsilon"``, ``"local-flow"``, ``"bcl-flow"``,
     ``"one-dangling-flow"`` or ``"exact"``.  Callers that already computed the
     infix-free sublanguage (an expensive operation) can pass it through
-    ``infix_free`` to avoid recomputing it.
+    ``infix_free`` to avoid recomputing it.  The class tests are memoized on
+    the infix-free instance, so classifying it again is a few lookups.
     """
     if language.contains(""):
         return "trivial-epsilon"
@@ -350,7 +358,9 @@ class LanguageCache:
     * ``Language.infix_free()`` is memoized on the instance itself, so sharing
       the representative shares the infix-free sublanguage;
     * the dispatcher's method choice is memoized per fingerprint (per instance
-      when the canonical layer is off);
+      when the canonical layer is off), and the analyses behind it are
+      memoized on the infix-free instance itself, so the reductions reuse
+      them instead of re-deriving them per call;
     * an optional :class:`~repro.resilience.store.AnalysisStore` adds an
       on-disk layer below the canonical one: a fingerprint seen by *any*
       previous process resolves its method and infix-free sublanguage from

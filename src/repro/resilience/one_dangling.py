@@ -40,7 +40,7 @@ from ..flow.substrate import compile_product_graph
 from ..graphdb.database import BagGraphDatabase, Fact, GraphDatabase, Node, as_bag
 from ..languages.automata import EpsilonNFA
 from ..languages.core import Language
-from ..languages.dangling import OneDanglingDecomposition, one_dangling_decomposition
+from ..languages.dangling import one_dangling_decomposition
 from ..languages.operations import fresh_letter
 from ..languages import read_once
 from .result import INFINITE, ResilienceResult, finite_value
@@ -155,10 +155,13 @@ def resilience_one_dangling(
     language: Language,
     database: GraphDatabase | BagGraphDatabase,
     *,
-    decomposition: OneDanglingDecomposition | None = None,
     semantics: str | None = None,
 ) -> ResilienceResult:
     """Compute the resilience of a one-dangling language (Proposition 7.9).
+
+    The decomposition, the mirror language and the read-once automaton of
+    the local part are memoized on the language instances, so a warm call
+    derives none of them.
 
     Raises:
         NotApplicableError: if the language is not one-dangling.
@@ -169,8 +172,7 @@ def resilience_one_dangling(
     name = language.name or ""
     if language.contains(""):
         return ResilienceResult(INFINITE, None, semantics, "one-dangling-flow", name)
-    if decomposition is None:
-        decomposition = one_dangling_decomposition(language)
+    decomposition = one_dangling_decomposition(language)
     if decomposition is None:
         raise NotApplicableError(f"{name} is not a one-dangling language")
 

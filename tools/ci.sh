@@ -89,6 +89,10 @@ echo "ci: perfbench flow-12k (fast vs reference, verified cuts, traced == untrac
 python3 perfbench/run.py --workload flow-12k --seed 0 --seconds 1 --trace 1 > /dev/null
 echo "ci: perfbench flow-12k ok"
 
+echo "ci: perfbench exact-hard (verified contingency sets, traced == untraced, stable repeats)"
+python3 perfbench/run.py --workload exact-hard --seed 0 --seconds 1 --trace 1 > /dev/null
+echo "ci: perfbench exact-hard ok"
+
 echo "ci: async conformance variants (single workload + 3 concurrent merged)"
 python -m pytest -q tests/test_conformance.py -k "async"
 
